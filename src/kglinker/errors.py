@@ -36,7 +36,7 @@ class InstanceError(KglinkerError):
 
 
 class TooLargeError(InstanceError):
-    """The exact solver's enumeration budget would be exceeded."""
+    """The exact solver's dynamic program would exceed its relaxation budget."""
 
 
 class ManifestError(KglinkerError):

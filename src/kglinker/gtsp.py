@@ -2,7 +2,7 @@
 
 Each keyword's candidate list becomes a cluster; pairwise costs combine the
 graph hop distance between candidates with their retrieval ranks. The exact
-solver searches all cluster orders with a per-order dynamic program. The
+solver is a Held-Karp dynamic program over cluster subsets. The
 approximate path reduces the clustered problem to an asymmetric TSP (one
 zero-cost directed cycle per cluster, inter-cluster arcs shifted to the
 cycle predecessor and offset by a constant larger than any route), solves it
@@ -16,7 +16,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -92,14 +91,11 @@ class Assignment:
     def chosen_uris(self, instance: GtspInstance) -> dict[int, str]:
         return {c: instance.nodes[n].uri for c, n in enumerate(self.chosen)}
 
-    def recompute_cost(self, instance: GtspInstance, cycle: bool = False) -> float:
+    def recompute_cost(self, instance: GtspInstance) -> float:
         route = [self.chosen[c] for c in self.order]
-        total = sum(
+        return sum(
             float(instance.cost[route[i], route[i + 1]]) for i in range(len(route) - 1)
         )
-        if cycle and len(route) > 1:
-            total += float(instance.cost[route[-1], route[0]])
-        return total
 
 
 def disconnect_penalty(cap: int, max_rank: int) -> float:
@@ -176,100 +172,123 @@ def build_instance(
 # Exact solving
 # ---------------------------------------------------------------------------
 
-_State = tuple[float, tuple[str, ...], tuple[int, ...]]
+# (cost, uri sequence, cluster order, node sequence): routes compare on this key.
+_RouteKey = tuple[float, tuple[str, ...], tuple[int, ...], tuple[int, ...]]
+_NO_TIE = np.iinfo(np.int64).max
 
 
-def _best_path_for_order(instance: GtspInstance, order: tuple[int, ...]) -> _State:
-    """Cheapest selection for a fixed cluster visit order (open path).
+def _ranks(prefix, step):
+    """Ranks of a DP layer's (uri, cluster, node) sequences after one more step.
 
-    States compare as (cost, uri sequence, node sequence), so equal-cost
-    selections resolve to the lexicographically smallest uri sequence.
+    ``prefix`` holds each state's predecessor ranks and ``step`` the keys of
+    the element it appends; sequences of one layer have equal length, so an
+    extended one compares as (prefix, element). A rank counts the smaller
+    keys in the layer. Also returns the rank of the three sequences
+    together, the route key's tie-break after the cost.
     """
-    cost = instance.cost
-    nodes = instance.nodes
-    states: dict[int, _State] = {
-        n: (0.0, (nodes[n].uri,), (n,)) for n in instance.clusters[order[0]]
-    }
-    for cluster in order[1:]:
-        next_states: dict[int, _State] = {}
-        for n in instance.clusters[cluster]:
-            best: _State | None = None
-            for prev, (c, uris, route) in states.items():
-                candidate = (c + float(cost[prev, n]), uris + (nodes[n].uri,), route + (n,))
-                if best is None or candidate < best:
-                    best = candidate
-            next_states[n] = best  # type: ignore[assignment]
-        states = next_states
-    return min(states.values())
+
+    def rank(major, minor):
+        keys = major * (int(minor.max()) + 1) + minor
+        return np.searchsorted(np.sort(keys, axis=None), keys)
+
+    uris, order, nodes = (rank(p, s) for p, s in zip(prefix, step))
+    return (uris, order, nodes), rank(rank(uris, order), nodes)
 
 
-def _best_cycle_for_order(instance: GtspInstance, order: tuple[int, ...]) -> _State:
-    """Cheapest selection for a fixed cluster order, closing back to the start node."""
-    cost = instance.cost
-    nodes = instance.nodes
-    best_overall: _State | None = None
-    for start in instance.clusters[order[0]]:
-        states: dict[int, _State] = {start: (0.0, (nodes[start].uri,), (start,))}
-        for cluster in order[1:]:
-            next_states: dict[int, _State] = {}
-            for n in instance.clusters[cluster]:
-                best: _State | None = None
-                for prev, (c, uris, route) in states.items():
-                    candidate = (
-                        c + float(cost[prev, n]),
-                        uris + (nodes[n].uri,),
-                        route + (n,),
-                    )
-                    if best is None or candidate < best:
-                        best = candidate
-                next_states[n] = best  # type: ignore[assignment]
-            states = next_states
-        for c, uris, route in states.values():
-            closed = (c + float(cost[route[-1], start]), uris, route)
-            if best_overall is None or closed < best_overall:
-                best_overall = closed
-    return best_overall  # type: ignore[return-value]
+def _cheapest_route(instance: GtspInstance, start: np.ndarray, steps) -> _RouteKey:
+    """The least route key through a layered dynamic program.
+
+    A state is a (row, slot) pair; a slot is one (cluster, member) pair, so a
+    node shared by two clusters is a state in each. Row r of the first layer
+    starts in cluster ``start[r]``. ``steps`` holds (rows, moves) per later
+    layer; a move (c, target, pred, sources) extends the previous layer's
+    rows ``pred`` from slots of the clusters ``sources`` into cluster c as
+    rows ``target``. Costs add left to right along the route, and equal
+    costs go to the lowest prefix rank.
+    """
+    slot_cluster = np.array([c for c, members in enumerate(instance.clusters) for _ in members])
+    slot_node = np.array([n for members in instance.clusters for n in members])
+    bounds = np.cumsum([0] + [len(members) for members in instance.clusters])
+    weights = instance.cost[np.ix_(slot_node, slot_node)]
+    uri_rank = {uri: i for i, uri in enumerate(sorted({n.uri for n in instance.nodes}))}
+    keys = (np.array([uri_rank[instance.nodes[n].uri] for n in slot_node]), slot_cluster, slot_node)
+
+    cost = np.where(slot_cluster == start[:, None], 0.0, np.inf)
+    parts, rank = _ranks((np.zeros(cost.shape, dtype=np.int64),) * 3, keys)
+    back = []
+    for rows, moves in steps:
+        next_cost = np.full((rows, len(slot_node)), np.inf)
+        came_row, came_slot = np.zeros((2, rows, len(slot_node)), dtype=np.int64)
+        for c, target, pred, sources in moves:
+            cols = slice(bounds[c], bounds[c + 1])
+            src = np.concatenate([np.arange(bounds[b], bounds[b + 1]) for b in sources])
+            total = cost[np.ix_(pred, src)][:, :, None] + weights[src, cols][None]
+            best = total.min(axis=1)
+            tied = np.where(total == best[:, None], rank[np.ix_(pred, src)][:, :, None], _NO_TIE)
+            next_cost[target, cols] = best
+            came_row[target, cols] = pred[:, None]
+            came_slot[target, cols] = src[tied.argmin(axis=1)]
+        parts, rank = _ranks(tuple(part[came_row, came_slot] for part in parts), keys)
+        cost = next_cost
+        back.append((came_row, came_slot))
+
+    row, slot = np.unravel_index(np.lexsort((rank.ravel(), cost.ravel()))[0], cost.shape)
+    total_cost = float(cost[row, slot])
+    route = [slot]
+    for came_row, came_slot in reversed(back):
+        row, slot = came_row[row, slot], came_slot[row, slot]
+        route.append(slot)
+    nodes = slot_node[route[::-1]].tolist()
+    order = tuple(slot_cluster[route[::-1]].tolist())
+    return total_cost, tuple(instance.nodes[n].uri for n in nodes), order, tuple(nodes)
 
 
-def enumeration_size(instance: GtspInstance) -> int:
-    """Number of (selection, order) combinations the exact solver covers."""
-    return math.prod(len(c) for c in instance.clusters) * math.factorial(
-        len(instance.clusters)
-    )
+def _best_path_for_order(instance: GtspInstance, order: tuple[int, ...]) -> _RouteKey:
+    """Cheapest selection for a fixed cluster visit order (open path)."""
+    row = np.zeros(1, dtype=np.int64)
+    steps = [(1, [(c, row, row, [b])]) for b, c in zip(order, order[1:])]
+    return _cheapest_route(instance, np.array(order[:1]), steps)
 
 
-def solve_exact(
-    instance: GtspInstance,
-    budget: int = DEFAULT_BUDGET,
-    cycle: bool = False,
-) -> Assignment:
+def _assignment(instance: GtspInstance, key: _RouteKey) -> Assignment:
+    cost, _uris, order, route = key
+    chosen = [0] * instance.cluster_count
+    for cluster, node in zip(order, route):
+        chosen[cluster] = node
+    return Assignment(order=list(order), chosen=chosen, total_cost=cost)
+
+
+def solve_exact(instance: GtspInstance, budget: int = DEFAULT_BUDGET) -> Assignment:
     """Globally optimal assignment over all selections and cluster orders.
 
-    Refuses instances whose enumeration size exceeds ``budget`` so callers
-    can fall back to the approximate solver. Ties break on the uri sequence
-    along the route, then on the cluster order.
+    A Held-Karp dynamic program whose rows in layer k are the sets of k
+    visited clusters. Ties break as enumerating every order and selection
+    would: on the uri sequence along the route, then the cluster order, then
+    the node sequence. Each ordered pair of clusters (a, then b) relaxes
+    m_a * m_b arcs once per subset holding both, 2^(p-2) * ((sum m)^2 -
+    sum m^2) arcs in all; above ``budget`` the instance is refused so
+    callers can fall back to the approximate solver.
     """
     if not instance.clusters:
         raise InstanceError("instance has no clusters")
     if any(not members for members in instance.clusters):
         raise InstanceError("instance has an empty cluster")
-    size = enumeration_size(instance)
+    p = instance.cluster_count
+    sizes = [len(members) for members in instance.clusters]
+    size = (1 << p) // 4 * (sum(sizes) ** 2 - sum(m * m for m in sizes))
     if size > budget:
-        raise TooLargeError(
-            f"instance enumerates {size} routes, above the budget of {budget}"
-        )
-    solve_order = _best_cycle_for_order if cycle else _best_path_for_order
-    best: tuple[float, tuple[str, ...], tuple[int, ...], tuple[int, ...]] | None = None
-    for order in permutations(range(instance.cluster_count)):
-        cost, uris, route = solve_order(instance, order)
-        key = (cost, uris, order, route)
-        if best is None or key < best:
-            best = key
-    cost, _uris, order, route = best
-    chosen = [0] * instance.cluster_count
-    for cluster, node in zip(order, route):
-        chosen[cluster] = node
-    return Assignment(order=list(order), chosen=chosen, total_cost=cost)
+        raise TooLargeError(f"exact DP relaxes {size} arcs, above the budget of {budget}")
+    popcount = np.array([bin(mask).count("1") for mask in range(1 << p)])
+    layers = [np.flatnonzero(popcount == k) for k in range(1, p + 1)]
+    steps = []
+    for previous, masks in zip(layers, layers[1:]):
+        moves = []
+        for c in range(p):
+            target = np.flatnonzero(masks >> c & 1)
+            pred = np.searchsorted(previous, masks[target] ^ (1 << c))
+            moves.append((c, target, pred, [b for b in range(p) if b != c]))
+        steps.append((len(masks), moves))
+    return _assignment(instance, _cheapest_route(instance, np.arange(p), steps))
 
 
 # ---------------------------------------------------------------------------
@@ -557,42 +576,20 @@ def solve_approx(instance: GtspInstance, seed: int = 0) -> Assignment:
     else:
         tour = solve_lk(atsp, seed=seed)
     _chosen, order = decode_selection(tour, mapping)
-
-    def evaluate(sequence: tuple[int, ...]):
-        cost, uris, route = _best_path_for_order(instance, sequence)
-        return (cost, uris, sequence, route)
-
-    best: tuple[float, tuple[str, ...], tuple[int, ...], tuple[int, ...]] | None = None
+    sequences = []
     for rotation in range(len(order)):
-        rotated = order[rotation:] + order[:rotation]
-        for sequence in (tuple(rotated), tuple(reversed(rotated))):
-            key = evaluate(sequence)
-            if best is None or key < best:
-                best = key
-
-    improved = True
-    while improved:
-        improved = False
+        rotated = tuple(order[rotation:] + order[:rotation])
+        sequences += [rotated, rotated[::-1]]
+    best = min(_best_path_for_order(instance, sequence) for sequence in sequences)
+    p = len(order)
+    relocations = [(i, j) for i in range(p) for j in range(p) if i != j]
+    while True:
         base = list(best[2])
-        p = len(base)
-        for i in range(p):
-            for j in range(p):
-                if i == j:
-                    continue
-                moved = base[:i] + base[i + 1 :]
-                moved.insert(j, base[i])
-                if moved == base:
-                    continue
-                key = evaluate(tuple(moved))
-                if key < best:
-                    best = key
-                    improved = True
-                    break
-            if improved:
+        for i, j in relocations:
+            moved = base[:i] + base[i + 1 :]
+            moved.insert(j, base[i])
+            if moved != base and (key := _best_path_for_order(instance, tuple(moved))) < best:
+                best = key
                 break
-
-    cost, _uris, sequence, route = best
-    chosen = [0] * instance.cluster_count
-    for cluster, node in zip(sequence, route):
-        chosen[cluster] = node
-    return Assignment(order=list(sequence), chosen=chosen, total_cost=cost)
+        else:
+            return _assignment(instance, best)

@@ -33,6 +33,7 @@ from .reranker import (
     FEATURE_NAMES,
     RerankModel,
     TrainingRow,
+    _group_mrr,
     mrr,
     rerank,
     row_from_features,
@@ -671,24 +672,14 @@ class Pipeline:
             "connectivity": ("connection_count", "hop_count"),
             "all": FEATURE_NAMES,
         }
+        groups: dict[tuple[str, str], list[TrainingRow]] = {}
+        for row in eval_rows:
+            groups.setdefault((row.question_id, row.keyword), []).append(row)
+        ordered_groups = [groups[key] for key in sorted(groups)]
         report = {}
         for name, subset in subsets.items():
             model, _cv = train(
                 train_rows, folds=folds, feature_subset=subset, seed=self.config.seed
             )
-            groups: dict[tuple[str, str], list[TrainingRow]] = {}
-            for row in eval_rows:
-                groups.setdefault((row.question_id, row.keyword), []).append(row)
-            ranked_groups = []
-            golds = []
-            for key in sorted(groups):
-                group = groups[key]
-                probs = model.probabilities([r.feature_vector() for r in group])
-                ordered = sorted(
-                    zip(group, probs),
-                    key=lambda item: (-item[1], item[0].initial_rank, item[0].uri),
-                )
-                ranked_groups.append([r.uri for r, _ in ordered])
-                golds.append(next((r.uri for r in group if r.label == 1), None))
-            report[name] = mrr(ranked_groups, golds)
+            report[name] = _group_mrr(model, ordered_groups)
         return report

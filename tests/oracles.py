@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code path with the
 package: plain BFS over adjacency built from scratch, full enumeration of
-clustered routes, a literal double-loop feature recount, and a bitmask
-dynamic program for exact asymmetric tours.
+clustered routes (cost only, or the whole tie-broken route key), a literal
+double-loop feature recount, and a bitmask dynamic program for exact
+asymmetric tours.
 """
 
 from __future__ import annotations
@@ -44,6 +45,23 @@ def enumerate_gtsp(cost: np.ndarray, clusters: list[list[int]], cycle: bool = Fa
                 total += float(cost[selection[-1], selection[0]])
             if best is None or total < best:
                 best = total
+    return best
+
+
+def enumerate_gtsp_argmin(cost: np.ndarray, clusters: list[list[int]], uris: list[str]):
+    """Least (cost, uri sequence, cluster order, node sequence) over every order and selection.
+
+    Costs are summed left to right along the route. Returns that key.
+    """
+    best = None
+    for order in permutations(range(len(clusters))):
+        for route in product(*(clusters[c] for c in order)):
+            total = 0.0
+            for a, b in zip(route, route[1:]):
+                total += float(cost[a, b])
+            key = (total, tuple(uris[n] for n in route), order, route)
+            if best is None or key < best:
+                best = key
     return best
 
 

@@ -21,7 +21,7 @@ from kglinker.gtsp import (
 from kglinker.index import Candidate, CandidateList
 from kglinker.kg import HopOracle, Kind, build_subdivision, load_graph
 
-from oracles import enumerate_gtsp, held_karp_atsp
+from oracles import enumerate_gtsp, enumerate_gtsp_argmin, held_karp_atsp
 
 E = Kind.ENTITY
 R = Kind.RELATION
@@ -40,12 +40,12 @@ def clist(keyword, kind, uris):
     return CandidateList(keyword=keyword, kind_queried=kind, candidates=cands)
 
 
-def random_instance(rng, max_clusters=4, max_size=5, max_total=None):
-    p = rng.randint(2, max_clusters)
-    while True:
-        sizes = [rng.randint(1, max_size) for _ in range(p)]
-        if max_total is None or sum(sizes) <= max_total:
-            break
+def random_instance(rng, max_clusters=4, max_size=5, max_total=None, sizes=None):
+    p = rng.randint(2, max_clusters) if sizes is None else len(sizes)
+    while sizes is None:
+        drawn = [rng.randint(1, max_size) for _ in range(p)]
+        if max_total is None or sum(drawn) <= max_total:
+            sizes = drawn
     nodes = []
     clusters = []
     for c, size in enumerate(sizes):
@@ -69,6 +69,34 @@ def random_instance(rng, max_clusters=4, max_size=5, max_total=None):
         clusters=clusters,
         cost=cost,
         disconnect_penalty=13.0,
+    )
+
+
+def tie_instance(rng, rank_weight):
+    """A small instance built to tie: integer hops 0-3, uris repeated across
+    clusters, one node in two clusters, asymmetric costs and few distinct ranks."""
+    p = rng.randint(2, 4)
+    nodes = []
+    clusters = []
+    for c in range(p):
+        clusters.append(list(range(len(nodes), len(nodes) + rng.randint(1, 3))))
+        for _ in clusters[-1]:
+            uri = f"u{rng.randint(0, 3)}"
+            nodes.append(GtspNode(uri=uri, kind=E, rank=rng.randint(1, 2), cluster=c))
+    shared = rng.randrange(len(nodes))
+    clusters[rng.choice([c for c in range(p) if c != nodes[shared].cluster])].append(shared)
+    n = len(nodes)
+    cost = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                cost[i, j] = rng.randint(0, 3) + rank_weight * (nodes[i].rank + nodes[j].rank)
+    return GtspInstance(
+        keywords=[f"k{c}" for c in range(p)],
+        nodes=nodes,
+        clusters=clusters,
+        cost=cost,
+        disconnect_penalty=9.0,
     )
 
 
@@ -137,10 +165,33 @@ class TestSolveExact:
             )
 
     def test_budget_exceeded(self):
-        rng = random.Random(2)
-        inst = random_instance(rng, max_clusters=4, max_size=5)
+        # the budget bounds the DP's arc relaxations: each ordered pair of
+        # clusters (a, then b) relaxes m_a * m_b arcs once per subset holding both
+        inst = random_instance(random.Random(2), sizes=[3, 5, 2, 4])
+        relaxations = 2 ** (4 - 2) * (14**2 - (9 + 25 + 4 + 16))
+        solve_exact(inst, budget=relaxations)
         with pytest.raises(TooLargeError):
-            solve_exact(inst, budget=1)
+            solve_exact(inst, budget=relaxations - 1)
+
+    def test_five_clusters_of_thirty_within_default_budget(self):
+        inst = random_instance(random.Random(14), sizes=[30] * 5)
+        result = solve_exact(inst)
+        assert result.recompute_cost(inst) == result.total_cost
+        assert sorted(inst.nodes[n].cluster for n in result.chosen) == list(range(5))
+        assert result.total_cost <= solve_approx(inst).total_cost
+
+    def test_ties_break_like_full_enumeration(self):
+        rng = random.Random(15)
+        for _ in range(1000):
+            inst = tie_instance(rng, rank_weight=0.3)
+            result = solve_exact(inst)
+            total, _uris, order, route = enumerate_gtsp_argmin(
+                inst.cost, inst.clusters, [node.uri for node in inst.nodes]
+            )
+            chosen = [0] * inst.cluster_count
+            for cluster, node in zip(order, route):
+                chosen[cluster] = node
+            assert (result.total_cost, result.order, result.chosen) == (total, list(order), chosen)
 
     def test_dominant_candidate_always_chosen(self):
         # cluster 1 has one node connected cheaply to everything, rivals expensive
@@ -211,7 +262,7 @@ class TestNoonBean:
             inst = random_instance(rng, max_clusters=3, max_size=4, max_total=9)
             atsp, mapping = noon_bean(inst)
             optimal_tour = held_karp_atsp(atsp.cost)
-            cycle_best = solve_exact(inst, cycle=True).total_cost
+            cycle_best = enumerate_gtsp(inst.cost, inst.clusters, cycle=True)
             assert optimal_tour - mapping.cluster_count * mapping.offset == pytest.approx(
                 cycle_best
             )
