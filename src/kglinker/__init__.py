@@ -9,7 +9,7 @@ low-confidence entity/relation predictions.
 
 from .adaptive import AdaptiveConfig, adapt
 from .config import PipelineConfig
-from .density import DensityFeatures, compute_features, d_connect
+from .density import DensityFeatures, compute_features
 from .errors import (
     DataError,
     IndexVersionError,
@@ -40,7 +40,7 @@ from .kg import (
     SubdivisionGraph,
     Triple,
     build_subdivision,
-    hop_distance,
+    hop_block,
     load_graph,
 )
 from .pipeline import KeywordBlock, LinkingResult, Pipeline, RankedCandidate
@@ -100,9 +100,8 @@ __all__ = [
     "build_instance",
     "build_subdivision",
     "compute_features",
-    "d_connect",
     "extract_keywords",
-    "hop_distance",
+    "hop_block",
     "load_graph",
     "mrr",
     "noon_bean",

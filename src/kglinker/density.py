@@ -13,9 +13,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InstanceError
 from .index import Candidate, CandidateList
-from .kg import DISCONNECTED, HopOracle, Kind
+from .kg import DISCONNECTED, HopOracle, hop_block
 
 logger = logging.getLogger(__name__)
 
@@ -28,18 +30,6 @@ class DensityFeatures:
     initial_rank: int
     connection_count: float
     hop_count: float
-
-
-def d_connect(
-    oracle: HopOracle,
-    a: str,
-    b: str,
-    kind_a: Kind | None = None,
-    kind_b: Kind | None = None,
-) -> int:
-    """1 if the two nodes are within two hops of each other, else 0."""
-    d = oracle.distance(a, b, kind_a, kind_b)
-    return 1 if d != DISCONNECTED and d <= CONNECT_THRESHOLD else 0
 
 
 def compute_features(
@@ -68,33 +58,29 @@ def compute_features(
             ids.append(node)
         node_ids.append(ids)
 
-    connects = [[0] * len(clist.candidates) for clist in lists]
-    hop_sums = [[0] * len(clist.candidates) for clist in lists]
+    connects = [np.zeros(len(ids), dtype=np.int64) for ids in node_ids]
+    hop_sums = [np.zeros(len(ids), dtype=np.int64) for ids in node_ids]
     for a in range(n):
         for b in range(a + 1, n):
-            for i, node_a in enumerate(node_ids[a]):
-                for j, node_b in enumerate(node_ids[b]):
-                    if node_a is None or node_b is None:
-                        d = DISCONNECTED
-                    else:
-                        d = oracle.distance_by_id(node_a, node_b)
-                    if d != DISCONNECTED and d <= CONNECT_THRESHOLD:
-                        connects[a][i] += 1
-                        connects[b][j] += 1
-                    hops = d if d != DISCONNECTED else far
-                    hop_sums[a][i] += hops
-                    hop_sums[b][j] += hops
+            d = hop_block(oracle, node_ids[a], node_ids[b])
+            near = (d != DISCONNECTED) & (d <= CONNECT_THRESHOLD)
+            hops = np.where(d == DISCONNECTED, far, d)
+            connects[a] += near.sum(axis=1)
+            connects[b] += near.sum(axis=0)
+            hop_sums[a] += hops.sum(axis=1)
+            hop_sums[b] += hops.sum(axis=0)
 
     features: list[list[DensityFeatures]] = []
-    for li, clist in enumerate(lists):
+    for clist, counts, sums in zip(lists, connects, hop_sums):
+        # Python ints, so the divisions give the same floats as a scalar recount.
         row = [
             DensityFeatures(
                 candidate=cand,
                 initial_rank=cand.initial_rank,
-                connection_count=connects[li][ci] / n,
-                hop_count=hop_sums[li][ci] / n,
+                connection_count=count / n,
+                hop_count=total / n,
             )
-            for ci, cand in enumerate(clist.candidates)
+            for cand, count, total in zip(clist.candidates, counts.tolist(), sums.tolist())
         ]
         features.append(row)
     return features

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InstanceError, TooLargeError
 from .index import CandidateList
-from .kg import DISCONNECTED, HopOracle, Kind
+from .kg import DISCONNECTED, HopOracle, Kind, hop_block
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_RANK_WEIGHT = 1.0
@@ -110,8 +110,10 @@ def build_instance(
 ) -> GtspInstance:
     """Build the clustered instance from candidate lists.
 
-    cost(u, v) = hops(u, v) + rank_weight * (rank_u + rank_v), with the
-    disconnect penalty substituted for pairs beyond the oracle's cap.
+    cost(u, v) = hops(u, v) + rank_weight * (rank_u + rank_v) for u and v in
+    different clusters, with the disconnect penalty substituted for pairs
+    beyond the oracle's cap. No route moves inside a cluster, so
+    intra-cluster costs are 0 and those pairs are never queried.
     Candidates that resolve to no graph node are dropped with a note; a
     cluster losing all members is an error.
     """
@@ -149,15 +151,18 @@ def build_instance(
 
     max_rank = max(node.rank for node in nodes)
     penalty = disconnect_penalty(oracle.cap, max_rank)
-    n = len(nodes)
-    cost = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = oracle.distance_by_id(nodes[i].graph_node, nodes[j].graph_node)
-            hops = float(d) if d != DISCONNECTED else penalty
-            value = hops + rank_weight * (nodes[i].rank + nodes[j].rank)
-            cost[i, j] = value
-            cost[j, i] = value
+    graph_nodes = [[nodes[i].graph_node for i in members] for members in clusters]
+    ranks = np.array([node.rank for node in nodes])
+    cost = np.zeros((len(nodes), len(nodes)), dtype=np.float64)
+    for a, rows in enumerate(clusters):
+        for b in range(a + 1, len(clusters)):
+            cols = clusters[b]
+            hops = hop_block(oracle, graph_nodes[a], graph_nodes[b])
+            block = np.where(hops == DISCONNECTED, penalty, hops) + rank_weight * (
+                ranks[rows][:, None] + ranks[cols]
+            )
+            cost[np.ix_(rows, cols)] = block
+            cost[np.ix_(cols, rows)] = block.T
     return GtspInstance(
         keywords=keywords,
         nodes=nodes,
@@ -322,7 +327,9 @@ def noon_bean(instance: GtspInstance) -> tuple[AtspInstance, NoonBeanMapping]:
     overlapping clusters disjoint by duplication. Within a cluster the nodes
     form a zero-cost directed cycle; an arc that leaves the cluster from
     node x carries the original cost of the *successor* of x in that cycle,
-    plus a constant M exceeding the sum of all original costs. An optimal
+    plus a constant M = cost.sum() + 1. Costs are non-negative and a route
+    or cycle reads each cost entry at most once, so M exceeds any route's
+    cost; the intra-cluster entries, all 0, add nothing to it. An optimal
     tour therefore traverses each cluster in one block and enters it at the
     node it selects, and its cost is the optimal cluster-cycle cost plus
     cluster_count * M.

@@ -7,8 +7,8 @@ approximates a text search engine without any external service.
 
 from __future__ import annotations
 
+import json
 import logging
-import pickle
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -19,7 +19,7 @@ from .kg import Kind, KnowledgeGraph, LineSource, iter_data_lines
 logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"KGLINKER-INDEX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 TOKEN_WEIGHT = 0.6
 TRIGRAM_WEIGHT = 0.4
@@ -214,7 +214,7 @@ class LabelIndex:
         }
         with open(path, "wb") as handle:
             handle.write(INDEX_MAGIC + b" v%d\n" % INDEX_VERSION)
-            pickle.dump(payload, handle, protocol=4)
+            handle.write(json.dumps(payload).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "LabelIndex":
@@ -225,7 +225,7 @@ class LabelIndex:
                 raise IndexVersionError(
                     f"index header {header!r} does not match {expected!r}; rebuild the index"
                 )
-            payload = pickle.load(handle)
+            payload = json.loads(handle.read())
         index = cls()
         for kind_value, rows in payload["entries"].items():
             kind = Kind(kind_value)

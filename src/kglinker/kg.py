@@ -11,7 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
+
+import numpy as np
 
 from .errors import NodeNotFoundError, ParseError
 
@@ -270,11 +272,23 @@ class HopOracle:
         kind_b: Kind | None = None,
     ) -> int:
         """Hop count between two identifiers; raises NodeNotFoundError for unknown ones."""
-        return self.distance_by_id(
-            self.graph.node_id(a, kind_a), self.graph.node_id(b, kind_b)
-        )
+        node_a, node_b = self.graph.node_id(a, kind_a), self.graph.node_id(b, kind_b)
+        return int(hop_block(self, [node_a], [node_b])[0, 0])
 
 
-def hop_distance(oracle: HopOracle, a: str, b: str) -> int:
-    """Module-level convenience wrapper around :meth:`HopOracle.distance`."""
-    return oracle.distance(a, b)
+def hop_block(
+    oracle: HopOracle, ids_a: Sequence[int | None], ids_b: Sequence[int | None]
+) -> np.ndarray:
+    """Hop counts from every node of ``ids_a`` (rows) to every node of ``ids_b``.
+
+    The one place pairwise distances are read from the oracle: each pair
+    costs one :meth:`HopOracle.distance_by_id` call, except that a ``None``
+    id (a candidate with no graph node) is DISCONNECTED from everything
+    without a query.
+    """
+    distance = oracle.distance_by_id
+    rows = [
+        [DISCONNECTED if a is None or b is None else distance(a, b) for b in ids_b]
+        for a in ids_a
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(ids_a), len(ids_b))

@@ -69,6 +69,17 @@ class RankedCandidate:
     initial_rank: int
     probability: float | None = None
 
+    @classmethod
+    def of(cls, candidate: Candidate, probability: float | None = None) -> "RankedCandidate":
+        return cls(
+            uri=candidate.uri,
+            label=candidate.matched_label,
+            kind=candidate.kind,
+            text_score=candidate.text_score,
+            initial_rank=candidate.initial_rank,
+            probability=probability,
+        )
+
     def to_dict(self) -> dict:
         return {
             "uri": self.uri,
@@ -382,17 +393,7 @@ class Pipeline:
                     keyword=clist.keyword,
                     kind=kind,
                     er_confidence=confidence,
-                    candidates=[
-                        RankedCandidate(
-                            uri=cand.uri,
-                            label=cand.matched_label,
-                            kind=cand.kind,
-                            text_score=cand.text_score,
-                            initial_rank=cand.initial_rank,
-                            probability=prob,
-                        )
-                        for cand, prob in scored
-                    ],
+                    candidates=[RankedCandidate.of(cand, prob) for cand, prob in scored],
                 )
             )
         return blocks
@@ -407,16 +408,7 @@ class Pipeline:
         """Retrieval-rank ordering when joint disambiguation is not possible."""
         blocks = []
         for clist, kind, confidence in zip(lists, kinds, confidences):
-            candidates = [
-                RankedCandidate(
-                    uri=c.uri,
-                    label=c.matched_label,
-                    kind=c.kind,
-                    text_score=c.text_score,
-                    initial_rank=c.initial_rank,
-                )
-                for c in clist.candidates
-            ]
+            candidates = [RankedCandidate.of(c) for c in clist.candidates]
             if single_choice:
                 candidates = candidates[:1]
             blocks.append(
@@ -464,13 +456,7 @@ class Pipeline:
             source = next(
                 c for c in lists[list_index].candidates if c.uri == node.uri
             )
-            chosen_by_list[list_index] = RankedCandidate(
-                uri=source.uri,
-                label=source.matched_label,
-                kind=source.kind,
-                text_score=source.text_score,
-                initial_rank=source.initial_rank,
-            )
+            chosen_by_list[list_index] = RankedCandidate.of(source)
         diagnostics["route_cost"] = assignment.total_cost
         blocks = []
         for i, (clist, kind, confidence) in enumerate(zip(lists, kinds, confidences)):
@@ -594,10 +580,14 @@ class Pipeline:
             result = self.link(question)
             results.append(result)
             latencies.append(result.timings_ms.get("total", 0.0))
-            blocks_by_phrase = {normalize(b.keyword): b for b in result.blocks}
+            # The k-th span of a phrase is scored against the k-th block of it.
+            blocks_by_phrase: dict[str, list[KeywordBlock]] = {}
+            for b in result.blocks:
+                blocks_by_phrase.setdefault(normalize(b.keyword), []).append(b)
             for span in question.gold_spans:
                 total[span.kind] += 1
-                block = blocks_by_phrase.get(normalize(span.phrase))
+                same_phrase = blocks_by_phrase.get(normalize(span.phrase), [])
+                block = same_phrase.pop(0) if same_phrase else None
                 uris = [c.uri for c in block.candidates] if block else []
                 ranked_groups.append(uris)
                 golds.append(span.uri)

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from kglinker.density import compute_features, d_connect
-from kglinker.errors import InstanceError, NodeNotFoundError
+from kglinker.density import compute_features
+from kglinker.errors import InstanceError
 from kglinker.index import Candidate, CandidateList
 from kglinker.kg import HopOracle, Kind, build_subdivision, load_graph
 
@@ -39,32 +39,6 @@ class CountingOracle:
     def distance_by_id(self, a, b):
         self.calls += 1
         return self._oracle.distance_by_id(a, b)
-
-    def distance(self, a, b, kind_a=None, kind_b=None):
-        return self._oracle.distance(a, b, kind_a, kind_b)
-
-
-class TestDConnect:
-    def test_adjacent_pair(self):
-        oracle = make_oracle(["A\tp\tB"])
-        assert d_connect(oracle, "A", "p", E, R) == 1
-
-    def test_two_hops_connected(self):
-        oracle = make_oracle(["A\tp\tB"])
-        assert d_connect(oracle, "A", "B") == 1
-
-    def test_four_hops_disconnected(self):
-        oracle = make_oracle(["A\tp\tB", "B\tq\tC"])
-        assert d_connect(oracle, "A", "C") == 0
-
-    def test_same_node_connected(self):
-        oracle = make_oracle(["A\tp\tB"])
-        assert d_connect(oracle, "A", "A") == 1
-
-    def test_unknown_node_raises(self):
-        oracle = make_oracle(["A\tp\tB"])
-        with pytest.raises(NodeNotFoundError):
-            d_connect(oracle, "A", "ghost")
 
 
 class TestComputeFeatures:

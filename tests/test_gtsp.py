@@ -19,7 +19,7 @@ from kglinker.gtsp import (
     tour_cost,
 )
 from kglinker.index import Candidate, CandidateList
-from kglinker.kg import HopOracle, Kind, build_subdivision, load_graph
+from kglinker.kg import DISCONNECTED, HopOracle, Kind, build_subdivision, load_graph
 
 from oracles import enumerate_gtsp, enumerate_gtsp_argmin, held_karp_atsp
 
@@ -30,6 +30,20 @@ R = Kind.RELATION
 def make_oracle(lines, cap=4):
     kg = load_graph(io.StringIO("\n".join(lines) + "\n"))
     return HopOracle(build_subdivision(kg), cap=cap)
+
+
+class CountingOracle:
+    """Wraps a HopOracle and counts distance evaluations."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.graph = oracle.graph
+        self.cap = oracle.cap
+        self.calls = 0
+
+    def distance_by_id(self, a, b):
+        self.calls += 1
+        return self._oracle.distance_by_id(a, b)
 
 
 def clist(keyword, kind, uris):
@@ -122,12 +136,27 @@ class TestBuildInstance:
         assert inst.cost[0, 2] == pytest.approx(penalty + 2.0)
 
     def test_cost_symmetric_zero_diagonal(self):
-        oracle = make_oracle(["A\tp\tB", "B\tq\tC"])
-        lists = [clist("ka", E, ["A", "B"]), clist("kc", E, ["C", "p"])]
+        oracle = make_oracle(["A\tp\tB", "B\tq\tC", "X\tr\tY"])
+        lists = [
+            clist("ka", E, ["A", "B", "X"]),
+            clist("kb", E, ["C", "p"]),
+            clist("kc", E, ["B", "A"]),
+        ]
         lists[1].candidates[1] = Candidate("p", "p", 0.5, 2, R)
-        inst = build_instance(lists, oracle)
+        counter = CountingOracle(oracle)
+        inst = build_instance(lists, counter, rank_weight=0.5)
         assert np.allclose(inst.cost, inst.cost.T)
         assert np.all(np.diag(inst.cost) == 0)
+        # only cross-cluster pairs are queried; intra-cluster costs stay 0
+        assert counter.calls == 3 * 2 + 3 * 2 + 2 * 2
+        for u, nu in enumerate(inst.nodes):
+            for v, nv in enumerate(inst.nodes):
+                if nu.cluster == nv.cluster:
+                    assert inst.cost[u, v] == 0.0
+                    continue
+                d = oracle.distance_by_id(nu.graph_node, nv.graph_node)
+                hops = float(d) if d != DISCONNECTED else inst.disconnect_penalty
+                assert inst.cost[u, v] == hops + 0.5 * (nu.rank + nv.rank)
 
     def test_unresolvable_dropped_and_empty_cluster_errors(self):
         oracle = make_oracle(["A\tp\tB"])

@@ -1,4 +1,5 @@
 import io
+import pickle
 import random
 
 import pytest
@@ -187,6 +188,14 @@ class TestPersistence:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "index.bin"
         path.write_bytes(b"KGLINKER-INDEX v99\njunk")
+        with pytest.raises(IndexVersionError):
+            LabelIndex.load(str(path))
+
+    def test_v1_pickle_refused(self, tmp_path):
+        # version 1 stored the entry lists as a pickle, which can run code on load
+        payload = {"entries": {"E": [("dbr:SpaceX", "SpaceX", 1.0)], "R": []}}
+        path = tmp_path / "index.bin"
+        path.write_bytes(b"KGLINKER-INDEX v1\n" + pickle.dumps(payload, protocol=4))
         with pytest.raises(IndexVersionError):
             LabelIndex.load(str(path))
 

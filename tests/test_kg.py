@@ -10,6 +10,7 @@ from kglinker.kg import (
     Kind,
     Triple,
     build_subdivision,
+    hop_block,
     load_graph,
 )
 
@@ -106,12 +107,6 @@ class TestHopDistance:
         oracle = HopOracle(build_subdivision(make_graph(["A\tp\tB", "C\tq\tD"])))
         assert oracle.distance("A", "C") == DISCONNECTED
 
-    def test_module_level_wrapper(self):
-        from kglinker.kg import hop_distance
-
-        oracle = HopOracle(build_subdivision(make_graph(["A\tp\tB"])))
-        assert hop_distance(oracle, "A", "B") == 2
-
 
 def random_kg_lines(rng, n_vertices, n_triples):
     vertices = [f"v{i}" for i in range(n_vertices)]
@@ -156,6 +151,25 @@ class TestHopOracleProperties:
                 if expected == -1 or expected > cap:
                     expected = DISCONNECTED
                 assert oracle.distance_by_id(a, b) == expected
+        ids = list(range(len(graph)))
+        block = hop_block(HopOracle(graph, cap=cap), ids[::2], ids[::-3])
+        assert block.tolist() == [[oracle.distance_by_id(a, b) for b in ids[::-3]] for a in ids[::2]]
+
+    def test_hop_block_none_and_empty(self):
+        class Counting:
+            calls = 0
+
+            def distance_by_id(self, a, b):
+                self.calls += 1
+                return 7
+
+        oracle = Counting()
+        block = hop_block(oracle, [0, None], [None, 1, 2])
+        assert block.tolist() == [[DISCONNECTED, 7, 7], [DISCONNECTED] * 3]
+        assert oracle.calls == 2
+        assert hop_block(oracle, [], [1, 2]).shape == (0, 2)
+        assert hop_block(oracle, [1, 2], []).shape == (2, 0)
+        assert oracle.calls == 2
 
     def test_cache_transparency(self):
         rng = random.Random(3)

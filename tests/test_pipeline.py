@@ -205,6 +205,30 @@ class TestEvaluate:
         metrics = pipe.evaluate(questions)
         assert metrics["entity_accuracy"] == pytest.approx((entity_total - 1) / entity_total)
 
+    def test_repeated_phrase_pairs_spans_with_blocks_in_order(self, mini_setup, monkeypatch):
+        from kglinker.index import Candidate
+        from kglinker.pipeline import KeywordBlock, LinkingResult, RankedCandidate
+        from kglinker.spotter import GoldSpan
+
+        pipe = mini_pipeline(mini_setup, "density", gold_spans=True)
+        question = Question(
+            id="twice",
+            text="Tesla and Tesla",
+            gold_spans=[GoldSpan("Tesla", E, "dbr:First"), GoldSpan("Tesla", E, "dbr:Second")],
+        )
+
+        def link(q):
+            blocks = [
+                KeywordBlock("Tesla", E, 1.0, [RankedCandidate.of(Candidate(uri, uri, 1.0, 1, E), 0.9)])
+                for uri in ("dbr:First", "dbr:Second")
+            ]
+            return LinkingResult(question_id=q.id, strategy="density", blocks=blocks)
+
+        monkeypatch.setattr(pipe, "link", link)
+        metrics = pipe.evaluate([question])
+        assert metrics["entity_accuracy"] == 1.0
+        assert metrics["mrr"] == 1.0
+
     def test_empty_dataset_rejected(self, mini_setup):
         pipe = mini_pipeline(mini_setup, "exact")
         with pytest.raises(DataError):
