@@ -7,7 +7,7 @@ learned graph-connectivity features, with an adaptive retry that flips
 low-confidence entity/relation predictions.
 """
 
-from .adaptive import AdaptiveConfig, adapt
+from .adaptive import adapt
 from .config import PipelineConfig
 from .density import DensityFeatures, compute_features
 from .errors import (
@@ -59,7 +59,6 @@ from .spotter import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveConfig",
     "Assignment",
     "AtspInstance",
     "Candidate",

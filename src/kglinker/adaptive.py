@@ -9,7 +9,6 @@ never degrades and makes a second pass a no-op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -18,18 +17,12 @@ if TYPE_CHECKING:
 DEFAULT_THRESHOLD = 0.01
 
 
-@dataclass
-class AdaptiveConfig:
-    threshold: float = DEFAULT_THRESHOLD
-    max_retries_per_keyword: int = 1
+def adapt(result: "LinkingResult", threshold: float, pipeline: "Pipeline") -> "LinkingResult":
+    """Re-link each keyword below ``threshold`` once with the opposite kind.
 
-
-def adapt(result: "LinkingResult", config: AdaptiveConfig, pipeline: "Pipeline") -> "LinkingResult":
-    """Re-link low-confidence keywords with the opposite kind.
-
-    Only operates on results that carry per-candidate probabilities; anything
-    else (route-based strategies, degraded single-keyword results) is
-    returned unchanged with a diagnostic note.
+    A threshold of 0 retries nothing. Only operates on results that carry
+    per-candidate probabilities; anything else (route-based strategies,
+    degraded single-keyword results) is returned unchanged with a note.
     """
     from .pipeline import candidate_list_of  # local import to avoid a cycle
 
@@ -42,37 +35,36 @@ def adapt(result: "LinkingResult", config: AdaptiveConfig, pipeline: "Pipeline")
 
     flips = result.diagnostics.setdefault("flips", [])
     lists = [candidate_list_of(block) for block in blocks]
-    for i, block in enumerate(blocks):
-        for _retry in range(config.max_retries_per_keyword):
-            old_max = blocks[i].max_probability()
-            if old_max >= config.threshold:
-                break
-            flipped_kind = blocks[i].kind.flipped()
-            trial_lists = list(lists)
-            trial_lists[i] = pipeline.retrieve(blocks[i].keyword, flipped_kind)
-            trial_blocks = pipeline.rescore(
-                trial_lists,
-                kinds=[b.kind for b in blocks[:i]] + [flipped_kind] + [b.kind for b in blocks[i + 1 :]],
-                confidences=[b.er_confidence for b in blocks],
-            )
-            new_max = trial_blocks[i].max_probability()
-            kept = new_max > old_max
-            flips.append(
-                {
-                    "keyword": blocks[i].keyword,
-                    "old_kind": blocks[i].kind.value,
-                    "new_kind": flipped_kind.value,
-                    "old_max_probability": old_max,
-                    "new_max_probability": new_max,
-                    "kept": kept,
-                }
-            )
-            if not kept:
-                break
-            lists = trial_lists
-            # Every keyword keeps its better version, so an accepted flip
-            # can only improve the other blocks it rescored.
-            for j, trial in enumerate(trial_blocks):
-                if j == i or trial.max_probability() > blocks[j].max_probability():
-                    blocks[j] = trial
+    for i in range(len(blocks)):
+        old_max = blocks[i].max_probability()
+        if old_max >= threshold:
+            continue
+        flipped_kind = blocks[i].kind.flipped()
+        trial_lists = list(lists)
+        trial_lists[i] = pipeline.retrieve(blocks[i].keyword, flipped_kind)
+        trial_blocks = pipeline.rescore(
+            trial_lists,
+            kinds=[b.kind for b in blocks[:i]] + [flipped_kind] + [b.kind for b in blocks[i + 1 :]],
+            confidences=[b.er_confidence for b in blocks],
+        )
+        new_max = trial_blocks[i].max_probability()
+        kept = new_max > old_max
+        flips.append(
+            {
+                "keyword": blocks[i].keyword,
+                "old_kind": blocks[i].kind.value,
+                "new_kind": flipped_kind.value,
+                "old_max_probability": old_max,
+                "new_max_probability": new_max,
+                "kept": kept,
+            }
+        )
+        if not kept:
+            continue
+        lists = trial_lists
+        # Every keyword keeps its better version, so an accepted flip
+        # can only improve the other blocks it rescored.
+        for j, trial in enumerate(trial_blocks):
+            if j == i or trial.max_probability() > blocks[j].max_probability():
+                blocks[j] = trial
     return result

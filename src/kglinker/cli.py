@@ -1,7 +1,8 @@
 """Command line entry points: build artifacts, link questions, run evaluations.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors (bad files,
-missing gold labels, mismatched artifacts).
+missing gold labels, mismatched artifacts). ``link`` reports a question's
+data error on that question's output line, links the rest, then exits 2.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import json
 import sys
 from dataclasses import fields
 
-from .adaptive import AdaptiveConfig
 from .config import PipelineConfig
 from .errors import KglinkerError
 from .pipeline import (
@@ -54,7 +54,6 @@ def _add_common(parser: _Parser) -> None:
         default=None,
     )
     parser.add_argument("--adaptive-threshold", type=float, dest="adaptive_threshold")
-    parser.add_argument("--adaptive-retries", type=int, dest="adaptive_retries")
     parser.add_argument("--er-flip-fraction", type=float, dest="er_flip_fraction")
 
 
@@ -63,20 +62,10 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         config = PipelineConfig.from_file(args.config)
     else:
         config = PipelineConfig()
-    simple = {f.name for f in fields(PipelineConfig)} - {"adaptive"}
-    for name in simple:
-        value = getattr(args, name, None)
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, name, value)
-    threshold = getattr(args, "adaptive_threshold", None)
-    retries = getattr(args, "adaptive_retries", None)
-    if threshold is not None or retries is not None:
-        config.adaptive = AdaptiveConfig(
-            threshold=threshold if threshold is not None else config.adaptive.threshold,
-            max_retries_per_keyword=(
-                retries if retries is not None else config.adaptive.max_retries_per_keyword
-            ),
-        )
+            setattr(config, f.name, value)
     config.validate()
     return config
 
@@ -124,6 +113,7 @@ def _cmd_train_reranker(args) -> int:
 
 
 def _cmd_link(args) -> int:
+    """Print one JSON line per question as soon as it is linked."""
     config = _build_config(args)
     pipeline = Pipeline.from_config(config)
     if args.question is not None:
@@ -131,15 +121,20 @@ def _cmd_link(args) -> int:
     elif args.dataset:
         questions = load_questions(args.dataset)
     else:
-        questions = [
+        questions = (
             Question(id=f"stdin-{i}", text=line.strip())
             for i, line in enumerate(sys.stdin)
             if line.strip()
-        ]
+        )
+    failed = False
     for question in questions:
-        result = pipeline.link(question)
-        print(result.to_json(include_timings=args.timings))
-    return 0
+        try:
+            line = pipeline.link(question).to_json(include_timings=args.timings)
+        except KglinkerError as exc:
+            failed = True
+            line = json.dumps({"error": str(exc), "question_id": question.id}, sort_keys=True)
+        print(line, flush=True)
+    return 2 if failed else 0
 
 
 def _cmd_eval(args) -> int:

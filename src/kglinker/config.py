@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .adaptive import AdaptiveConfig
+from .adaptive import DEFAULT_THRESHOLD
 from .errors import DataError
 
 STRATEGIES = ("exact", "approx", "density")
@@ -19,12 +19,11 @@ class PipelineConfig:
     k: int = 30
     rank_weight: float = 1.0
     hop_cap: int = 4
-    adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
+    adaptive_threshold: float = DEFAULT_THRESHOLD  # 0 turns adaptive retry off
     gold_spans: bool = False
     gold_injection: bool = False
     seed: int = 0
     er_flip_fraction: float = 0.0  # fault injection for adaptation experiments
-    exact_budget: int = 10_000_000
     triples: str | None = None
     labels: str | None = None
     expansions: str | None = None
@@ -42,22 +41,11 @@ class PipelineConfig:
             raise DataError("rank_weight must be >= 0")
         if not 0.0 <= self.er_flip_fraction <= 1.0:
             raise DataError("er_flip_fraction must be in [0, 1]")
-        if not 0.0 < self.adaptive.threshold < 1.0:
-            raise DataError("adaptive threshold must be in (0, 1)")
-        if self.adaptive.max_retries_per_keyword < 0:
-            raise DataError("adaptive retries must be >= 0")
+        if not 0.0 <= self.adaptive_threshold < 1.0:
+            raise DataError("adaptive_threshold must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        data = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "adaptive":
-                value = {
-                    "threshold": value.threshold,
-                    "max_retries_per_keyword": value.max_retries_per_keyword,
-                }
-            data[f.name] = value
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -65,10 +53,7 @@ class PipelineConfig:
         unknown = set(data) - known
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "adaptive" in kwargs and kwargs["adaptive"] is not None:
-            kwargs["adaptive"] = AdaptiveConfig(**kwargs["adaptive"])
-        config = cls(**kwargs)
+        config = cls(**data)
         config.validate()
         return config
 

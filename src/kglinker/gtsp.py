@@ -12,7 +12,6 @@ decodes the tour's cluster entry points back into a selection.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -50,34 +49,6 @@ class GtspInstance:
     @property
     def cluster_count(self) -> int:
         return len(self.clusters)
-
-    def to_json(self) -> str:
-        payload = {
-            "keywords": self.keywords,
-            "nodes": [
-                {"uri": n.uri, "kind": n.kind.value, "rank": n.rank, "cluster": n.cluster}
-                for n in self.nodes
-            ],
-            "clusters": self.clusters,
-            "cost": self.cost.tolist(),
-            "disconnect_penalty": self.disconnect_penalty,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GtspInstance":
-        payload = json.loads(text)
-        nodes = [
-            GtspNode(uri=n["uri"], kind=Kind(n["kind"]), rank=n["rank"], cluster=n["cluster"])
-            for n in payload["nodes"]
-        ]
-        return cls(
-            keywords=payload["keywords"],
-            nodes=nodes,
-            clusters=[list(c) for c in payload["clusters"]],
-            cost=np.asarray(payload["cost"], dtype=np.float64),
-            disconnect_penalty=payload["disconnect_penalty"],
-        )
 
 
 @dataclass

@@ -425,7 +425,19 @@ class Pipeline:
         confidences: list[float],
         diagnostics: dict,
     ) -> list[KeywordBlock]:
-        """Single choice per keyword through the route-based solvers."""
+        """Single choice per keyword through the route-based solvers.
+
+        A list whose candidates are all off the graph is linked as an empty
+        list, with its uris reported as dropped.
+        """
+        graph = self.oracle.graph
+        lists = list(lists)
+        for i, clist in enumerate(lists):
+            if clist.candidates and all(
+                graph.try_node_id(c.uri, c.kind) is None for c in clist.candidates
+            ):
+                diagnostics.setdefault("dropped_candidates", []).extend(clist.uris())
+                lists[i] = CandidateList(keyword=clist.keyword, kind_queried=clist.kind_queried)
         populated = [i for i, clist in enumerate(lists) if clist.candidates]
         if len(populated) < 2:
             diagnostics.setdefault("notes", []).append(
@@ -441,7 +453,7 @@ class Pipeline:
             diagnostics.setdefault("dropped_candidates", []).extend(instance.dropped)
         if self.config.strategy == "exact":
             try:
-                assignment = gtsp.solve_exact(instance, budget=self.config.exact_budget)
+                assignment = gtsp.solve_exact(instance)
             except TooLargeError:
                 diagnostics.setdefault("notes", []).append(
                     "exact solver budget exceeded; using the approximate solver"
@@ -534,8 +546,8 @@ class Pipeline:
         result.timings_ms["disambiguate"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        if config.strategy == "density" and config.adaptive.max_retries_per_keyword > 0:
-            result = adapt(result, config.adaptive, self)
+        if config.strategy == "density" and config.adaptive_threshold > 0:
+            result = adapt(result, config.adaptive_threshold, self)
         result.timings_ms["adapt"] = (time.perf_counter() - t0) * 1000.0
 
         result.timings_ms["total"] = (time.perf_counter() - t_total) * 1000.0
@@ -627,7 +639,7 @@ class Pipeline:
                 continue
             try:
                 instance = gtsp.build_instance(lists, self.oracle, self.config.rank_weight)
-                exact = gtsp.solve_exact(instance, budget=self.config.exact_budget)
+                exact = gtsp.solve_exact(instance)
             except (InstanceError, TooLargeError):
                 continue
             approx = gtsp.solve_approx(instance, seed=self.config.seed)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from kglinker.adaptive import DEFAULT_THRESHOLD
 from kglinker.cli import main as cli_main
 from kglinker.config import PipelineConfig
 from kglinker.density import compute_features
@@ -35,6 +36,7 @@ from kglinker.pipeline import (
 from kglinker.spotter import Question, load_questions
 from kglinker.synthetic import generate_world, mini_world
 
+from helpers import CountingOracle
 from oracles import all_pairs_bfs, enumerate_gtsp, held_karp_atsp, naive_density
 
 RESULTS: list[str] = []
@@ -296,16 +298,16 @@ def overall_accuracy(metrics):
 def test_criterion_7_adaptive_improvement(adaptive_world):
     questions = adaptive_world["questions"]
 
-    def run(flip_fraction, retries):
+    def run(flip_fraction, threshold):
         config = copy.deepcopy(adaptive_world["config"])
         config.er_flip_fraction = flip_fraction
-        config.adaptive.max_retries_per_keyword = retries
+        config.adaptive_threshold = threshold
         return overall_accuracy(Pipeline.from_config(config).evaluate(questions))
 
-    flipped_without = run(0.2, 0)
-    flipped_with = run(0.2, 1)
-    clean_without = run(0.0, 0)
-    clean_with = run(0.0, 1)
+    flipped_without = run(0.2, 0.0)
+    flipped_with = run(0.2, DEFAULT_THRESHOLD)
+    clean_without = run(0.0, 0.0)
+    clean_with = run(0.0, DEFAULT_THRESHOLD)
     passed = (
         flipped_with >= flipped_without + 0.05 and clean_with >= clean_without
     )
@@ -361,18 +363,6 @@ def test_criterion_8_worked_example(mini_setup_acceptance):
         passed,
         "; ".join(f"{s}: {'ok' if outcome[s] == expected else outcome[s]}" for s in outcome),
     )
-
-
-class CountingOracle:
-    def __init__(self, oracle):
-        self._oracle = oracle
-        self.graph = oracle.graph
-        self.cap = oracle.cap
-        self.calls = 0
-
-    def distance_by_id(self, a, b):
-        self.calls += 1
-        return self._oracle.distance_by_id(a, b)
 
 
 @pytest.fixture(scope="module")

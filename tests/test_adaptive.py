@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from kglinker.adaptive import AdaptiveConfig
+from kglinker.adaptive import DEFAULT_THRESHOLD, adapt
 from kglinker.config import PipelineConfig
 from kglinker.pipeline import (
     Pipeline,
@@ -37,10 +37,10 @@ def adaptive_setup(tmp_path_factory):
     return {"config": config, "questions": questions[120:]}
 
 
-def make_pipeline(setup, flip_fraction=0.0, retries=1):
+def make_pipeline(setup, flip_fraction=0.0, threshold=DEFAULT_THRESHOLD):
     config = copy.deepcopy(setup["config"])
     config.er_flip_fraction = flip_fraction
-    config.adaptive = AdaptiveConfig(max_retries_per_keyword=retries)
+    config.adaptive_threshold = threshold
     return Pipeline.from_config(config)
 
 
@@ -56,8 +56,8 @@ def overall_accuracy(metrics):
 
 class TestAdaptiveFlow:
     def test_confident_results_untouched(self, adaptive_setup):
-        with_adapt = make_pipeline(adaptive_setup, retries=1)
-        without = make_pipeline(adaptive_setup, retries=0)
+        with_adapt = make_pipeline(adaptive_setup, threshold=DEFAULT_THRESHOLD)
+        without = make_pipeline(adaptive_setup, threshold=0.0)
         for question in adaptive_setup["questions"][:30]:
             a = with_adapt.link(question)
             b = without.link(question)
@@ -65,7 +65,7 @@ class TestAdaptiveFlow:
             assert a.diagnostics.get("flips", []) == []
 
     def test_flipped_prediction_recovered(self, adaptive_setup):
-        pipe = make_pipeline(adaptive_setup, flip_fraction=0.2, retries=1)
+        pipe = make_pipeline(adaptive_setup, flip_fraction=0.2, threshold=DEFAULT_THRESHOLD)
         questions = adaptive_setup["questions"][:60]
         recovered = 0
         flips_seen = 0
@@ -87,33 +87,31 @@ class TestAdaptiveFlow:
 
     def test_accuracy_improvement_under_injected_flips(self, adaptive_setup):
         questions = adaptive_setup["questions"][:120]
-        base = make_pipeline(adaptive_setup, flip_fraction=0.2, retries=0)
-        adapted = make_pipeline(adaptive_setup, flip_fraction=0.2, retries=1)
+        base = make_pipeline(adaptive_setup, flip_fraction=0.2, threshold=0.0)
+        adapted = make_pipeline(adaptive_setup, flip_fraction=0.2, threshold=DEFAULT_THRESHOLD)
         acc_base = overall_accuracy(base.evaluate(questions))
         acc_adapted = overall_accuracy(adapted.evaluate(questions))
         assert acc_adapted >= acc_base + 0.05
 
     def test_non_degradation_without_flips(self, adaptive_setup):
         questions = adaptive_setup["questions"][:120]
-        base = make_pipeline(adaptive_setup, retries=0)
-        adapted = make_pipeline(adaptive_setup, retries=1)
+        base = make_pipeline(adaptive_setup, threshold=0.0)
+        adapted = make_pipeline(adaptive_setup, threshold=DEFAULT_THRESHOLD)
         acc_base = overall_accuracy(base.evaluate(questions))
         acc_adapted = overall_accuracy(adapted.evaluate(questions))
         assert acc_adapted >= acc_base
 
     def test_idempotent_second_pass(self, adaptive_setup):
-        from kglinker.adaptive import adapt
-
-        pipe = make_pipeline(adaptive_setup, flip_fraction=0.2, retries=1)
+        pipe = make_pipeline(adaptive_setup, flip_fraction=0.2, threshold=DEFAULT_THRESHOLD)
         for question in adaptive_setup["questions"][:40]:
             result = pipe.link(question)
             snapshot = [blk.to_dict() for blk in result.blocks]
-            again = adapt(result, pipe.config.adaptive, pipe)
+            again = adapt(result, pipe.config.adaptive_threshold, pipe)
             assert [blk.to_dict() for blk in again.blocks] == snapshot
 
     def test_max_probability_never_decreases(self, adaptive_setup):
-        flipped_off = make_pipeline(adaptive_setup, flip_fraction=0.2, retries=0)
-        flipped_on = make_pipeline(adaptive_setup, flip_fraction=0.2, retries=1)
+        flipped_off = make_pipeline(adaptive_setup, flip_fraction=0.2, threshold=0.0)
+        flipped_on = make_pipeline(adaptive_setup, flip_fraction=0.2, threshold=DEFAULT_THRESHOLD)
         for question in adaptive_setup["questions"][:40]:
             before = flipped_off.link(question)
             after = flipped_on.link(question)
@@ -124,7 +122,6 @@ class TestAdaptiveFlow:
     def test_unlinkable_keyword_keeps_original(self, adaptive_setup):
         config = copy.deepcopy(adaptive_setup["config"])
         config.gold_spans = False
-        config.adaptive = AdaptiveConfig(max_retries_per_keyword=1)
         pipe = Pipeline.from_config(config)
         from kglinker.spotter import Question
 

@@ -126,6 +126,51 @@ class TestLinkCommand:
         ids = [json.loads(l)["question_id"] for l in lines]
         assert ids == ["stdin-0", "stdin-1"]
 
+    def test_stdin_failed_line_reported_and_stream_goes_on(self, cli_setup, capsys, monkeypatch):
+        import io
+
+        from kglinker.errors import DataError
+        from kglinker.pipeline import Pipeline
+
+        real_link = Pipeline.link
+
+        def link(self, question):
+            if question.id == "stdin-1":
+                raise DataError("broken line")
+            return real_link(self, question)
+
+        monkeypatch.setattr(Pipeline, "link", link)
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO("Where was Tesla founded?\nWhat is the capital of Serbia?\nPretoria\n"),
+        )
+        code = main(["link", "--config", cli_setup["config"]])
+        assert code == 2
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert [l["question_id"] for l in lines] == ["stdin-0", "stdin-1", "stdin-2"]
+        assert lines[1] == {"question_id": "stdin-1", "error": "broken line"}
+        assert "keywords" in lines[0] and "keywords" in lines[2]
+
+    def test_stdin_read_lazily(self, cli_setup, capsys, monkeypatch):
+        from kglinker.pipeline import Pipeline
+
+        linked = []
+        real_link = Pipeline.link
+
+        def link(self, question):
+            linked.append(question.id)
+            return real_link(self, question)
+
+        def stdin():
+            yield "Where was Tesla founded?\n"
+            assert linked == ["stdin-0"], "first line not linked before the second was read"
+            yield "Pretoria\n"
+
+        monkeypatch.setattr(Pipeline, "link", link)
+        monkeypatch.setattr("sys.stdin", stdin())
+        assert main(["link", "--config", cli_setup["config"]]) == 0
+        assert linked == ["stdin-0", "stdin-1"]
+
 
 class TestEvalCommand:
     def test_metrics_json(self, cli_setup, capsys):

@@ -8,6 +8,7 @@ from kglinker.errors import InstanceError
 from kglinker.index import Candidate, CandidateList
 from kglinker.kg import HopOracle, Kind, build_subdivision, load_graph
 
+from helpers import CountingOracle
 from oracles import all_pairs_bfs, naive_density
 
 E = Kind.ENTITY
@@ -25,20 +26,6 @@ def clist(keyword, uris_with_kind):
         for r, (u, k) in enumerate(uris_with_kind, start=1)
     ]
     return CandidateList(keyword=keyword, kind_queried=cands[0].kind if cands else E, candidates=cands)
-
-
-class CountingOracle:
-    """Wraps a HopOracle and counts distance evaluations."""
-
-    def __init__(self, oracle):
-        self._oracle = oracle
-        self.graph = oracle.graph
-        self.cap = oracle.cap
-        self.calls = 0
-
-    def distance_by_id(self, a, b):
-        self.calls += 1
-        return self._oracle.distance_by_id(a, b)
 
 
 class TestComputeFeatures:

@@ -21,6 +21,7 @@ from kglinker.gtsp import (
 from kglinker.index import Candidate, CandidateList
 from kglinker.kg import DISCONNECTED, HopOracle, Kind, build_subdivision, load_graph
 
+from helpers import CountingOracle
 from oracles import enumerate_gtsp, enumerate_gtsp_argmin, held_karp_atsp
 
 E = Kind.ENTITY
@@ -30,20 +31,6 @@ R = Kind.RELATION
 def make_oracle(lines, cap=4):
     kg = load_graph(io.StringIO("\n".join(lines) + "\n"))
     return HopOracle(build_subdivision(kg), cap=cap)
-
-
-class CountingOracle:
-    """Wraps a HopOracle and counts distance evaluations."""
-
-    def __init__(self, oracle):
-        self._oracle = oracle
-        self.graph = oracle.graph
-        self.cap = oracle.cap
-        self.calls = 0
-
-    def distance_by_id(self, a, b):
-        self.calls += 1
-        return self._oracle.distance_by_id(a, b)
 
 
 def clist(keyword, kind, uris):
@@ -413,17 +400,3 @@ class TestSolveApprox:
         approx = solve_approx(inst)
         assert exact.chosen_uris(inst) == approx.chosen_uris(inst)
         assert exact.chosen_uris(inst)[1] == "TeslaMotors"
-
-
-class TestInstanceJson:
-    def test_round_trip(self):
-        rng = random.Random(12)
-        inst = random_instance(rng)
-        text = inst.to_json()
-        loaded = GtspInstance.from_json(text)
-        assert loaded.keywords == inst.keywords
-        assert loaded.clusters == inst.clusters
-        assert np.allclose(loaded.cost, inst.cost)
-        assert solve_exact(loaded).total_cost == pytest.approx(
-            solve_exact(inst).total_cost
-        )

@@ -151,6 +151,61 @@ class TestLinkBehaviour:
         assert "timings_ms" not in without
 
 
+class TestOffGraphKeyword:
+    @pytest.fixture(scope="class")
+    def atlantis_setup(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("atlantis-world")
+        world = mini_world()
+        world.labels.append(("dbr:Atlantis", "Atlantis", "E", 1.0))
+        paths = world.write(tmp / "data")
+        config = PipelineConfig(
+            k=10,
+            triples=paths["triples"],
+            labels=paths["labels"],
+            expansions=paths["expansions"],
+            artifacts=str(tmp / "artifacts"),
+        )
+        build_index_artifact(config)
+        train_er_artifact(config)
+        return config
+
+    @pytest.mark.parametrize("strategy", ["exact", "approx"])
+    def test_linked_as_empty_list(self, atlantis_setup, strategy):
+        config = copy.deepcopy(atlantis_setup)
+        config.strategy = strategy
+        pipe = Pipeline.from_config(config)
+        result = pipe.link(Question(id="a", text="Where was the founder of Atlantis born?"))
+        choices = {b.keyword: [c.uri for c in b.candidates] for b in result.blocks}
+        assert choices == {
+            "founder": ["dbo:foundedBy"],
+            "Atlantis": [],
+            "born": ["dbo:birthPlace"],
+        }
+        assert result.diagnostics["dropped_candidates"] == ["dbr:Atlantis"]
+        assert "route_cost" in result.diagnostics
+
+
+class TestConfig:
+    def test_threshold_zero_accepted(self):
+        assert PipelineConfig.from_dict({"adaptive_threshold": 0}).adaptive_threshold == 0
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.0])
+    def test_threshold_out_of_range_rejected(self, threshold):
+        with pytest.raises(DataError, match="adaptive_threshold"):
+            PipelineConfig.from_dict({"adaptive_threshold": threshold})
+
+    @pytest.mark.parametrize(
+        "old",
+        [
+            {"adaptive": {"threshold": 0.01, "max_retries_per_keyword": 1}},
+            {"exact_budget": 10_000_000},
+        ],
+    )
+    def test_removed_keys_refused(self, old):
+        with pytest.raises(DataError, match="unknown config keys"):
+            PipelineConfig.from_dict(old)
+
+
 class TestManifest:
     def test_mismatched_hash_rejected(self, mini_setup):
         config = copy.deepcopy(mini_setup["config"])
