@@ -23,13 +23,13 @@ from .errors import (
 )
 from .gtsp import (
     Assignment,
-    AtspInstance,
     GtspInstance,
     build_instance,
+    decode_order,
     noon_bean,
     solve_approx,
     solve_exact,
-    solve_lk,
+    solve_tour,
 )
 from .index import Candidate, CandidateList, LabelEntry, LabelIndex, build_index
 from .kg import (
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "AtspInstance",
     "Candidate",
     "CandidateList",
     "DISCONNECTED",
@@ -99,6 +98,7 @@ __all__ = [
     "build_instance",
     "build_subdivision",
     "compute_features",
+    "decode_order",
     "extract_keywords",
     "hop_block",
     "load_graph",
@@ -108,7 +108,7 @@ __all__ = [
     "rerank",
     "solve_approx",
     "solve_exact",
-    "solve_lk",
+    "solve_tour",
     "train",
     "train_er_classifier",
 ]

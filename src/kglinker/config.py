@@ -12,6 +12,15 @@ from .errors import DataError
 
 STRATEGIES = ("exact", "approx", "density")
 
+# JSON value types accepted per field annotation; a bool is no number here.
+_JSON_TYPES = {
+    "str": str,
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "str | None": (str, type(None)),
+}
+
 
 @dataclass
 class PipelineConfig:
@@ -49,10 +58,17 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise DataError("config must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if not isinstance(value, _JSON_TYPES[types[key]]) or (
+                isinstance(value, bool) and types[key] != "bool"
+            ):
+                raise DataError(f"config key {key!r} must be {types[key]}, got {value!r}")
         config = cls(**data)
         config.validate()
         return config
@@ -60,7 +76,11 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"config {path} is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -7,7 +7,8 @@ approximate path reduces the clustered problem to an asymmetric TSP (one
 zero-cost directed cycle per cluster, inter-cluster arcs shifted to the
 cycle predecessor and offset by a constant larger than any route), solves it
 with nearest-neighbour construction plus 2-opt and Or-opt local search, and
-decodes the tour's cluster entry points back into a selection.
+decodes the tour into a cluster order whose cheapest selection the same
+dynamic program finds.
 """
 
 from __future__ import annotations
@@ -273,15 +274,6 @@ def solve_exact(instance: GtspInstance, budget: int = DEFAULT_BUDGET) -> Assignm
 
 
 @dataclass
-class AtspInstance:
-    cost: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.cost.shape[0])
-
-
-@dataclass
 class NoonBeanMapping:
     """How ATSP nodes map back onto the clustered instance."""
 
@@ -291,8 +283,8 @@ class NoonBeanMapping:
     cluster_count: int
 
 
-def noon_bean(instance: GtspInstance) -> tuple[AtspInstance, NoonBeanMapping]:
-    """Reduce the clustered instance to an asymmetric TSP.
+def noon_bean(instance: GtspInstance) -> tuple[np.ndarray, NoonBeanMapping]:
+    """Reduce the clustered instance to an asymmetric TSP cost matrix.
 
     One ATSP node is created per (cluster, member) pair, which also makes
     overlapping clusters disjoint by duplication. Within a cluster the nodes
@@ -303,70 +295,48 @@ def noon_bean(instance: GtspInstance) -> tuple[AtspInstance, NoonBeanMapping]:
     cost; the intra-cluster entries, all 0, add nothing to it. An optimal
     tour therefore traverses each cluster in one block and enters it at the
     node it selects, and its cost is the optimal cluster-cycle cost plus
-    cluster_count * M.
+    cluster_count * M. Every other intra-cluster arc is forbidden.
     """
     p = instance.cluster_count
     if p < 2:
         raise InstanceError("the reduction needs at least 2 clusters")
-    cluster_of: list[int] = []
-    gtsp_node: list[int] = []
-    for cluster_id, members in enumerate(instance.clusters):
-        for node in members:
-            cluster_of.append(cluster_id)
-            gtsp_node.append(node)
-    n = len(cluster_of)
-
-    offset = float(instance.cost.sum()) + 1.0
-    forbidden = (p + 1) * offset
-
-    atsp_cost = np.full((n, n), forbidden, dtype=np.float64)
-    start = 0
-    positions: list[list[int]] = []
-    for members in instance.clusters:
-        ids = list(range(start, start + len(members)))
-        positions.append(ids)
-        start += len(members)
-    for cluster_id, ids in enumerate(positions):
-        r = len(ids)
-        if r > 1:
-            for j in range(r):
-                atsp_cost[ids[j], ids[(j + 1) % r]] = 0.0
-        for j in range(r):
-            source = ids[(j - 1) % r]  # arcs leave from the cycle predecessor
-            u = gtsp_node[ids[j]]
-            for other_cluster, other_ids in enumerate(positions):
-                if other_cluster == cluster_id:
-                    continue
-                for v_id in other_ids:
-                    atsp_cost[source, v_id] = (
-                        float(instance.cost[u, gtsp_node[v_id]]) + offset
-                    )
-    mapping = NoonBeanMapping(
-        cluster_of=cluster_of, gtsp_node=gtsp_node, offset=offset, cluster_count=p
+    cluster_of = np.array([c for c, members in enumerate(instance.clusters) for _ in members])
+    gtsp_node = np.array([node for members in instance.clusters for node in members])
+    bounds = np.cumsum([0] + [len(members) for members in instance.clusters])
+    position = np.arange(len(gtsp_node))
+    successor = np.where(
+        position + 1 == bounds[cluster_of + 1], bounds[cluster_of], position + 1
     )
-    return AtspInstance(cost=atsp_cost), mapping
+    offset = float(instance.cost.sum()) + 1.0
+    same_cluster = cluster_of[:, None] == cluster_of[None, :]
+    matrix = np.where(
+        same_cluster,
+        (p + 1) * offset,
+        instance.cost[np.ix_(gtsp_node[successor], gtsp_node)] + offset,
+    )
+    cycle = successor != position  # a singleton cluster has no cycle arc
+    matrix[position[cycle], successor[cycle]] = 0.0
+    mapping = NoonBeanMapping(
+        cluster_of=cluster_of.tolist(),
+        gtsp_node=gtsp_node.tolist(),
+        offset=offset,
+        cluster_count=p,
+    )
+    return matrix, mapping
 
 
-def decode_selection(tour: list[int], mapping: NoonBeanMapping) -> tuple[list[int], list[int]]:
-    """Read the cluster entry points (and their order) off an ATSP tour.
+def decode_order(tour: list[int], mapping: NoonBeanMapping) -> list[int]:
+    """The clusters of an ATSP tour in the order it first enters them.
 
-    Returns (chosen, order): the selected original node per cluster and the
-    clusters in first-entry order. Tours that do not keep clusters
-    contiguous still decode (first entry wins).
+    Tours that do not keep clusters contiguous still decode: a cluster's
+    first entry fixes its place.
     """
-    chosen: dict[int, int] = {}
     order: list[int] = []
-    n = len(tour)
-    for idx in range(n):
-        node = tour[idx]
-        prev = tour[idx - 1]
-        if mapping.cluster_of[prev] != mapping.cluster_of[node]:
-            cluster = mapping.cluster_of[node]
-            if cluster not in chosen:
-                chosen[cluster] = mapping.gtsp_node[node]
-                order.append(cluster)
-    selected = [chosen[c] for c in range(mapping.cluster_count)]
-    return selected, order
+    for prev, node in zip(tour[-1:] + tour[:-1], tour):
+        cluster = mapping.cluster_of[node]
+        if mapping.cluster_of[prev] != cluster and cluster not in order:
+            order.append(cluster)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +344,17 @@ def decode_selection(tour: list[int], mapping: NoonBeanMapping) -> tuple[list[in
 # ---------------------------------------------------------------------------
 
 
-def tour_cost(atsp: AtspInstance, tour: list[int]) -> float:
-    cost = atsp.cost
+def tour_cost(cost: np.ndarray, tour: list[int]) -> float:
     return float(sum(cost[tour[i], tour[(i + 1) % len(tour)]] for i in range(len(tour))))
 
 
-def _nearest_neighbor(atsp: AtspInstance, start: int) -> list[int]:
-    n = atsp.n
+def _nearest_neighbor(cost: np.ndarray, start: int) -> list[int]:
+    n = len(cost)
     tour = [start]
     unvisited = np.ones(n, dtype=bool)
     unvisited[start] = False
     for _ in range(n - 1):
-        row = np.where(unvisited, atsp.cost[tour[-1]], np.inf)
+        row = np.where(unvisited, cost[tour[-1]], np.inf)
         nxt = int(np.argmin(row))
         tour.append(nxt)
         unvisited[nxt] = False
@@ -489,8 +458,7 @@ def _apply_or_opt(tour: list[int], length: int, move) -> list[int]:
     return rest[: pos + 1] + seg + rest[pos + 1 :]
 
 
-def _local_search(atsp: AtspInstance, tour: list[int], move_cap: int = 10_000) -> list[int]:
-    cost = atsp.cost
+def _local_search(cost: np.ndarray, tour: list[int], move_cap: int = 10_000) -> list[int]:
     moves = 0
     improved = True
     while improved and moves < move_cap:
@@ -516,13 +484,13 @@ def _normalize_rotation(tour: list[int]) -> list[int]:
     return tour[pivot:] + tour[:pivot]
 
 
-def solve_lk(atsp: AtspInstance, seed: int = 0, starts: int = 6) -> list[int]:
+def solve_tour(cost: np.ndarray, seed: int = 0, starts: int = 6) -> list[int]:
     """Heuristic tour: multi-start nearest neighbour plus 2-opt/Or-opt descent.
 
     Deterministic for a given seed; the returned tour never costs more than
     its nearest-neighbour construction.
     """
-    n = atsp.n
+    n = len(cost)
     if n < 3:
         raise InstanceError("tour search needs at least 3 nodes")
     rng = random.Random(seed)
@@ -530,10 +498,10 @@ def solve_lk(atsp: AtspInstance, seed: int = 0, starts: int = 6) -> list[int]:
     start_nodes = sorted(rng.sample(range(n), count))
     best: tuple[float, tuple[int, ...]] | None = None
     for start in start_nodes:
-        tour = _nearest_neighbor(atsp, start)
-        tour = _local_search(atsp, tour)
+        tour = _nearest_neighbor(cost, start)
+        tour = _local_search(cost, tour)
         tour = _normalize_rotation(tour)
-        key = (tour_cost(atsp, tour), tuple(tour))
+        key = (tour_cost(cost, tour), tuple(tour))
         if best is None or key < best:
             best = key
     return list(best[1])
@@ -548,12 +516,9 @@ def solve_approx(instance: GtspInstance, seed: int = 0) -> Assignment:
     a time until no move improves it. Still a heuristic: only orders
     reachable from the tour are ever considered.
     """
-    atsp, mapping = noon_bean(instance)
-    if atsp.n < 3:
-        tour = list(range(atsp.n))
-    else:
-        tour = solve_lk(atsp, seed=seed)
-    _chosen, order = decode_selection(tour, mapping)
+    matrix, mapping = noon_bean(instance)
+    tour = list(range(len(matrix))) if len(matrix) < 3 else solve_tour(matrix, seed=seed)
+    order = decode_order(tour, mapping)
     sequences = []
     for rotation in range(len(order)):
         rotated = tuple(order[rotation:] + order[:rotation])

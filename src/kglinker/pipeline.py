@@ -34,6 +34,7 @@ from .reranker import (
     RerankModel,
     TrainingRow,
     _group_mrr,
+    _group_rows,
     mrr,
     rerank,
     row_from_features,
@@ -70,7 +71,7 @@ class RankedCandidate:
     probability: float | None = None
 
     @classmethod
-    def of(cls, candidate: Candidate, probability: float | None = None) -> "RankedCandidate":
+    def of(cls, candidate: Candidate, probability: float | None) -> "RankedCandidate":
         return cls(
             uri=candidate.uri,
             label=candidate.matched_label,
@@ -97,6 +98,22 @@ class KeywordBlock:
     kind: Kind
     er_confidence: float
     candidates: list[RankedCandidate] = field(default_factory=list)
+
+    @classmethod
+    def of(
+        cls,
+        clist: CandidateList,
+        kind: Kind,
+        confidence: float,
+        scored: list[tuple[Candidate, float | None]],
+    ) -> "KeywordBlock":
+        """The block of ``clist``'s keyword holding ``scored`` (candidate, probability) pairs."""
+        return cls(
+            keyword=clist.keyword,
+            kind=kind,
+            er_confidence=confidence,
+            candidates=[RankedCandidate.of(c, p) for c, p in scored],
+        )
 
     def max_probability(self) -> float:
         probs = [c.probability for c in self.candidates if c.probability is not None]
@@ -179,19 +196,13 @@ def _manifest_path(directory: str | Path) -> Path:
 def write_or_check_manifest(directory: str | Path, config: PipelineConfig) -> None:
     """Create the manifest on first build; refuse a mismatched hash later."""
     path = _manifest_path(directory)
-    expected = config.artifact_hash()
     if path.exists():
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        if manifest.get("artifact_hash") != expected:
-            raise ManifestError(
-                f"artifact directory {directory} was built with a different "
-                "configuration (hop_cap/k/seed); rebuild or use matching settings"
-            )
+        check_manifest(directory, config)
         return
     Path(directory).mkdir(parents=True, exist_ok=True)
     manifest = {
         "version": MANIFEST_VERSION,
-        "artifact_hash": expected,
+        "artifact_hash": config.artifact_hash(),
         "config": config.to_dict(),
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -204,7 +215,8 @@ def check_manifest(directory: str | Path, config: PipelineConfig) -> None:
     manifest = json.loads(path.read_text(encoding="utf-8"))
     if manifest.get("artifact_hash") != config.artifact_hash():
         raise ManifestError(
-            f"artifact directory {directory} does not match the current configuration"
+            f"artifact directory {directory} was built with a different "
+            "configuration (hop_cap/k/seed); rebuild or use matching settings"
         )
 
 
@@ -366,6 +378,23 @@ class Pipeline:
             True,
         )
 
+    def _retrieve_all(
+        self, question: Question, queries: list[tuple[str, Kind]], diagnostics: dict
+    ) -> list[CandidateList]:
+        """One candidate list per (keyword, kind) query, with the gold
+        appended when gold injection is on; notes go into ``diagnostics``."""
+        lists = []
+        for keyword, kind in queries:
+            clist = self.retrieve(keyword, kind)
+            if self.config.gold_injection:
+                clist, injected = self._inject_gold(clist, question)
+                if injected:
+                    diagnostics.setdefault("injected_gold", []).append(keyword)
+            if not clist.candidates:
+                diagnostics.setdefault("notes", []).append(f"no candidates for keyword {keyword!r}")
+            lists.append(clist)
+        return lists
+
     def _should_flip(self, question_id: str, keyword: str) -> bool:
         fraction = self.config.er_flip_fraction
         if fraction <= 0.0:
@@ -386,37 +415,19 @@ class Pipeline:
             raise DataError("no re-ranking model loaded")
         features = compute_features(lists, self.oracle)
         ranked = rerank(self.rerank_model, lists, features)
-        blocks = []
-        for clist, kind, confidence, scored in zip(lists, kinds, confidences, ranked):
-            blocks.append(
-                KeywordBlock(
-                    keyword=clist.keyword,
-                    kind=kind,
-                    er_confidence=confidence,
-                    candidates=[RankedCandidate.of(cand, prob) for cand, prob in scored],
-                )
-            )
-        return blocks
+        return [KeywordBlock.of(*block) for block in zip(lists, kinds, confidences, ranked)]
 
     def _fallback_blocks(
         self,
         lists: list[CandidateList],
         kinds: list[Kind],
         confidences: list[float],
-        single_choice: bool,
+        keep: int | None,
     ) -> list[KeywordBlock]:
-        """Retrieval-rank ordering when joint disambiguation is not possible."""
-        blocks = []
-        for clist, kind, confidence in zip(lists, kinds, confidences):
-            candidates = [RankedCandidate.of(c) for c in clist.candidates]
-            if single_choice:
-                candidates = candidates[:1]
-            blocks.append(
-                KeywordBlock(
-                    keyword=clist.keyword, kind=kind, er_confidence=confidence, candidates=candidates
-                )
-            )
-        return blocks
+        """Retrieval-rank ordering, the first ``keep`` candidates of each list
+        (all when None), when joint disambiguation is not possible."""
+        scored = [[(c, None) for c in clist.candidates[:keep]] for clist in lists]
+        return [KeywordBlock.of(*block) for block in zip(lists, kinds, confidences, scored)]
 
     def _route_blocks(
         self,
@@ -444,7 +455,7 @@ class Pipeline:
                 "joint disambiguation degenerate: fewer than 2 non-empty lists; "
                 "falling back to retrieval order"
             )
-            return self._fallback_blocks(lists, kinds, confidences, single_choice=True)
+            return self._fallback_blocks(lists, kinds, confidences, keep=1)
 
         instance = gtsp.build_instance(
             [lists[i] for i in populated], self.oracle, self.config.rank_weight
@@ -462,23 +473,13 @@ class Pipeline:
         else:
             assignment = gtsp.solve_approx(instance, seed=self.config.seed)
 
-        chosen_by_list: dict[int, RankedCandidate] = {}
+        scored: list[list[tuple[Candidate, None]]] = [[] for _ in lists]
         for cluster_id, list_index in enumerate(populated):
             node = instance.nodes[assignment.chosen[cluster_id]]
-            source = next(
-                c for c in lists[list_index].candidates if c.uri == node.uri
-            )
-            chosen_by_list[list_index] = RankedCandidate.of(source)
+            source = next(c for c in lists[list_index].candidates if c.uri == node.uri)
+            scored[list_index] = [(source, None)]
         diagnostics["route_cost"] = assignment.total_cost
-        blocks = []
-        for i, (clist, kind, confidence) in enumerate(zip(lists, kinds, confidences)):
-            chosen = [chosen_by_list[i]] if i in chosen_by_list else []
-            blocks.append(
-                KeywordBlock(
-                    keyword=clist.keyword, kind=kind, er_confidence=confidence, candidates=chosen
-                )
-            )
-        return blocks
+        return [KeywordBlock.of(*block) for block in zip(lists, kinds, confidences, scored)]
 
     # -- linking ------------------------------------------------------------
 
@@ -512,18 +513,9 @@ class Pipeline:
             return result
 
         t0 = time.perf_counter()
-        lists = []
-        for keyword, kind, _confidence in predictions:
-            clist = self.retrieve(keyword, kind)
-            if config.gold_injection:
-                clist, injected = self._inject_gold(clist, question)
-                if injected:
-                    result.diagnostics.setdefault("injected_gold", []).append(keyword)
-            if not clist.candidates:
-                result.diagnostics.setdefault("notes", []).append(
-                    f"no candidates for keyword {keyword!r}"
-                )
-            lists.append(clist)
+        lists = self._retrieve_all(
+            question, [(keyword, kind) for keyword, kind, _ in predictions], result.diagnostics
+        )
         result.timings_ms["retrieve"] = (time.perf_counter() - t0) * 1000.0
 
         kinds = [kind for _, kind, _ in predictions]
@@ -538,9 +530,7 @@ class Pipeline:
                     "joint disambiguation degenerate: single keyword; "
                     "falling back to retrieval order"
                 )
-                result.blocks = self._fallback_blocks(
-                    lists, kinds, confidences, single_choice=False
-                )
+                result.blocks = self._fallback_blocks(lists, kinds, confidences, keep=None)
         else:
             result.blocks = self._route_blocks(lists, kinds, confidences, result.diagnostics)
         result.timings_ms["disambiguate"] = (time.perf_counter() - t0) * 1000.0
@@ -561,12 +551,9 @@ class Pipeline:
         for question in questions:
             if not question.gold_spans or len(question.gold_spans) < 2:
                 continue
-            lists = []
-            for span in question.gold_spans:
-                clist = self.retrieve(span.phrase, span.kind)
-                if self.config.gold_injection:
-                    clist, _ = self._inject_gold(clist, question)
-                lists.append(clist)
+            lists = self._retrieve_all(
+                question, [(span.phrase, span.kind) for span in question.gold_spans], {}
+            )
             features = compute_features(lists, self.oracle)
             for span, feats in zip(question.gold_spans, features):
                 for f in feats:
@@ -674,9 +661,7 @@ class Pipeline:
             "connectivity": ("connection_count", "hop_count"),
             "all": FEATURE_NAMES,
         }
-        groups: dict[tuple[str, str], list[TrainingRow]] = {}
-        for row in eval_rows:
-            groups.setdefault((row.question_id, row.keyword), []).append(row)
+        groups = _group_rows(eval_rows)
         ordered_groups = [groups[key] for key in sorted(groups)]
         report = {}
         for name, subset in subsets.items():

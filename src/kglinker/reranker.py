@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +25,9 @@ from .logreg import fit_logistic, sigmoid
 RERANK_MODEL_VERSION = 1
 
 FEATURE_NAMES = ("initial_rank", "connection_count", "hop_count")
+
+# The model's inputs of a TrainingRow or DensityFeatures, in FEATURE_NAMES order.
+feature_vector = attrgetter(*FEATURE_NAMES)
 
 # Training schedule for the re-ranking classifier.
 RERANK_LEARNING_RATE = 0.05
@@ -41,8 +45,8 @@ class TrainingRow:
     hop_count: float
     label: int
 
-    def feature_vector(self) -> tuple[float, float, float]:
-        return (self.initial_rank, self.connection_count, self.hop_count)
+    def feature_vector(self) -> tuple[float, ...]:
+        return feature_vector(self)
 
 
 def row_from_features(
@@ -152,7 +156,7 @@ class RerankModel:
 
 
 def _fit_model(rows: Sequence[TrainingRow], columns: list[int], subset: tuple[str, ...]) -> RerankModel:
-    X = np.asarray([r.feature_vector() for r in rows], dtype=np.float64)[:, columns]
+    X = np.asarray([feature_vector(r) for r in rows], dtype=np.float64)[:, columns]
     y = np.asarray([r.label for r in rows], dtype=np.float64)
     means = X.mean(axis=0)
     stds = X.std(axis=0)
@@ -171,16 +175,21 @@ def _group_rows(rows: Sequence[TrainingRow]) -> dict[tuple[str, str], list[Train
     return groups
 
 
+def _by_probability(items: Sequence, probs: Sequence[float]) -> list[tuple]:
+    """(item, probability) pairs, most probable first; ties go to the lower
+    initial rank, then the smaller uri."""
+    return sorted(
+        zip(items, probs), key=lambda item: (-item[1], item[0].initial_rank, item[0].uri)
+    )
+
+
 def _group_mrr(model: RerankModel, groups: Iterable[list[TrainingRow]]) -> float:
     """Mean reciprocal rank of the label-1 row after sorting by probability."""
     ranked_groups = []
     golds = []
     for group in groups:
-        probs = model.probabilities([r.feature_vector() for r in group])
-        ordered = sorted(
-            zip(group, probs), key=lambda item: (-item[1], item[0].initial_rank, item[0].uri)
-        )
-        ranked_groups.append([row.uri for row, _ in ordered])
+        probs = model.probabilities([feature_vector(r) for r in group])
+        ranked_groups.append([row.uri for row, _ in _by_probability(group, probs)])
         gold = next((row.uri for row in group if row.label == 1), None)
         golds.append(gold)
     return mrr(ranked_groups, golds)
@@ -248,14 +257,8 @@ def rerank(
             raise DataError(
                 f"feature row count {len(feats)} does not match list {clist.keyword!r}"
             )
-        vectors = [
-            (f.initial_rank, f.connection_count, f.hop_count) for f in feats
-        ]
-        probs = model.probabilities(vectors)
-        scored = sorted(
-            zip(clist.candidates, probs),
-            key=lambda item: (-item[1], item[0].initial_rank, item[0].uri),
-        )
+        probs = model.probabilities([feature_vector(f) for f in feats])
+        scored = _by_probability(clist.candidates, probs)
         result.append([(cand, float(prob)) for cand, prob in scored])
     return result
 

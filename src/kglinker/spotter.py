@@ -65,23 +65,34 @@ class ERPrediction:
 
 
 def load_questions(source) -> list[Question]:
-    """Load a question dataset: JSON array of {id, text, spans?} objects."""
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+    """Load a question dataset: JSON array of {id, text, spans?} objects.
+
+    A file that is not JSON, or an item or span that lacks a field or has
+    a kind other than E or R, raises DataError naming the item.
+    """
+    try:
+        if hasattr(source, "read"):
+            data = json.load(source)
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"question dataset is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise DataError("question dataset must be a JSON array")
     questions = []
-    for item in data:
-        spans = None
-        if "spans" in item and item["spans"] is not None:
-            spans = [
-                GoldSpan(phrase=s["phrase"], kind=Kind.parse(s["kind"]), uri=s["uri"])
-                for s in item["spans"]
-            ]
-        questions.append(Question(id=str(item["id"]), text=item["text"], gold_spans=spans))
+    for number, item in enumerate(data):
+        try:
+            spans = None
+            if item.get("spans") is not None:
+                spans = [
+                    GoldSpan(phrase=s["phrase"], kind=Kind.parse(s["kind"]), uri=s["uri"])
+                    for s in item["spans"]
+                ]
+            questions.append(Question(id=str(item["id"]), text=item["text"], gold_spans=spans))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise DataError(f"question dataset item {number}: {detail}") from None
     return questions
 
 

@@ -3,8 +3,8 @@
 Everything here is deliberately naive and shares no code path with the
 package: plain BFS over adjacency built from scratch, full enumeration of
 clustered routes (cost only, or the whole tie-broken route key), a literal
-double-loop feature recount, and a bitmask dynamic program for exact
-asymmetric tours.
+double-loop feature recount, a per-arc Noon-Bean reduction, and a bitmask
+dynamic program for exact asymmetric tours.
 """
 
 from __future__ import annotations
@@ -63,6 +63,39 @@ def enumerate_gtsp_argmin(cost: np.ndarray, clusters: list[list[int]], uris: lis
             if best is None or key < best:
                 best = key
     return best
+
+
+def noon_bean_matrix(cost: np.ndarray, clusters: list[list[int]]) -> np.ndarray:
+    """The Noon-Bean ATSP cost matrix, written one arc at a time.
+
+    ATSP nodes are the (cluster, member) pairs in cluster order. Each
+    cluster's nodes form a zero-cost cycle; the arc from a node to a node of
+    another cluster costs M = cost.sum() + 1 plus the original cost from its
+    cycle successor; every other arc costs (clusters + 1) * M.
+    """
+    nodes = [node for members in clusters for node in members]
+    n = len(nodes)
+    offset = float(cost.sum()) + 1.0
+    matrix = np.full((n, n), (len(clusters) + 1) * offset, dtype=np.float64)
+    positions = []
+    start = 0
+    for members in clusters:
+        positions.append(list(range(start, start + len(members))))
+        start += len(members)
+    for cluster_id, ids in enumerate(positions):
+        r = len(ids)
+        if r > 1:
+            for j in range(r):
+                matrix[ids[j], ids[(j + 1) % r]] = 0.0
+        for j in range(r):
+            source = ids[(j - 1) % r]  # arcs leave from the cycle predecessor
+            u = nodes[ids[j]]
+            for other_cluster, other_ids in enumerate(positions):
+                if other_cluster == cluster_id:
+                    continue
+                for v_id in other_ids:
+                    matrix[source, v_id] = float(cost[u, nodes[v_id]]) + offset
+    return matrix
 
 
 def held_karp_atsp(cost: np.ndarray) -> float:

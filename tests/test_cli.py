@@ -278,3 +278,29 @@ class TestExitCodes:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"strategy": "magic"}))
         assert main(["eval", "--config", str(config), "--dataset", "x.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "dataset, config, message",
+        [
+            ('[{"id": "1", "text": ', None, "is not valid JSON"),
+            ("[]", '{"k": 10,', "is not valid JSON"),
+            ('[{"id": "1", "text": "founder of Tesla"}, {"id": "2"}]', None,
+             "item 1: missing field 'text'"),
+            ('[{"id": "1", "text": "founder of Tesla", '
+             '"spans": [{"phrase": "Tesla", "kind": "Q", "uri": "dbr:Tesla"}]}]', None,
+             "item 0: expected 'E' or 'R', got 'Q'"),
+            ("[]", '{"k": "30"}', "config key 'k' must be int, got '30'"),
+        ],
+        ids=["dataset_json", "config_json", "item_without_text", "span_kind_q", "config_k_string"],
+    )
+    def test_malformed_input_is_data_error(
+        self, cli_setup, tmp_path, capsys, dataset, config, message
+    ):
+        dataset_path = tmp_path / "dataset.json"
+        dataset_path.write_text(dataset)
+        config_path = cli_setup["config"]
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(config)
+        assert main(["eval", "--config", str(config_path), "--dataset", str(dataset_path)]) == 2
+        assert message in capsys.readouterr().err

@@ -6,23 +6,22 @@ import pytest
 
 from kglinker.errors import InstanceError, TooLargeError
 from kglinker.gtsp import (
-    AtspInstance,
     GtspInstance,
     GtspNode,
     build_instance,
-    decode_selection,
+    decode_order,
     disconnect_penalty,
     noon_bean,
     solve_approx,
     solve_exact,
-    solve_lk,
+    solve_tour,
     tour_cost,
 )
 from kglinker.index import Candidate, CandidateList
 from kglinker.kg import DISCONNECTED, HopOracle, Kind, build_subdivision, load_graph
 
 from helpers import CountingOracle
-from oracles import enumerate_gtsp, enumerate_gtsp_argmin, held_karp_atsp
+from oracles import enumerate_gtsp, enumerate_gtsp_argmin, held_karp_atsp, noon_bean_matrix
 
 E = Kind.ENTITY
 R = Kind.RELATION
@@ -267,17 +266,36 @@ class TestNoonBean:
     def test_two_singleton_clusters(self):
         rng = random.Random(4)
         inst = random_instance(rng, max_clusters=2, max_size=1)
-        atsp, mapping = noon_bean(inst)
-        assert atsp.n == 2
-        chosen, order = decode_selection([0, 1], mapping)
-        assert chosen == [inst.clusters[0][0], inst.clusters[1][0]]
+        matrix, mapping = noon_bean(inst)
+        assert matrix.shape == (2, 2)
+        assert decode_order([0, 1], mapping) == [0, 1]
+        assert decode_order([1, 0], mapping) == [1, 0]
+
+    def test_non_contiguous_tour_first_entry_wins(self):
+        inst = random_instance(random.Random(4), sizes=[2, 1, 1])
+        _, mapping = noon_bean(inst)
+        assert mapping.cluster_of == [0, 0, 1, 2]
+        # Cluster 0 is entered at tour positions 0 and 2; the first entry fixes its place.
+        assert decode_order([0, 2, 1, 3], mapping) == [0, 1, 2]
+        assert decode_order([2, 0, 3, 1], mapping) == [1, 0, 2]
+
+    def test_matrix_matches_per_arc_reference(self):
+        rng = random.Random(12)
+        draws = [random_instance(rng, max_clusters=5, max_size=6) for _ in range(100)]
+        draws += [tie_instance(rng, rank_weight) for rank_weight in (0.0, 0.3, 0.7, 1.0) * 25]
+        for inst in draws:
+            matrix, mapping = noon_bean(inst)
+            reference = noon_bean_matrix(inst.cost, inst.clusters)
+            assert matrix.shape == reference.shape
+            assert (matrix == reference).all()
+            assert mapping.gtsp_node == [n for members in inst.clusters for n in members]
 
     def test_round_trip_against_cycle_exact(self):
         rng = random.Random(5)
         for _ in range(40):
             inst = random_instance(rng, max_clusters=3, max_size=4, max_total=9)
-            atsp, mapping = noon_bean(inst)
-            optimal_tour = held_karp_atsp(atsp.cost)
+            matrix, mapping = noon_bean(inst)
+            optimal_tour = held_karp_atsp(matrix)
             cycle_best = enumerate_gtsp(inst.cost, inst.clusters, cycle=True)
             assert optimal_tour - mapping.cluster_count * mapping.offset == pytest.approx(
                 cycle_best
@@ -299,23 +317,24 @@ class TestNoonBean:
             cost=cost,
             disconnect_penalty=9.0,
         )
-        atsp, mapping = noon_bean(inst)
-        assert atsp.n == 3
+        matrix, mapping = noon_bean(inst)
+        assert matrix.shape == (3, 3)
         assert mapping.gtsp_node == [0, 1, 1]
 
 
 class TestSolveLk:
+    """solve_tour: nearest-neighbour starts plus 2-opt/Or-opt descent."""
+
     def test_requires_three_nodes(self):
-        atsp = AtspInstance(cost=np.zeros((2, 2)))
         with pytest.raises(InstanceError):
-            solve_lk(atsp)
+            solve_tour(np.zeros((2, 2)))
 
     def test_flat_costs_any_tour(self):
         n = 5
-        atsp = AtspInstance(cost=np.full((n, n), 3.0) - 3.0 * np.eye(n))
-        tour = solve_lk(atsp)
+        cost = np.full((n, n), 3.0) - 3.0 * np.eye(n)
+        tour = solve_tour(cost)
         assert sorted(tour) == list(range(n))
-        assert tour_cost(atsp, tour) == pytest.approx(15.0)
+        assert tour_cost(cost, tour) == pytest.approx(15.0)
 
     def test_four_node_unique_optimum(self):
         # optimal directed tour 0 -> 1 -> 2 -> 3 -> 0 with cost 4
@@ -323,9 +342,8 @@ class TestSolveLk:
         np.fill_diagonal(cost, 0.0)
         for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
             cost[a, b] = 1.0
-        atsp = AtspInstance(cost=cost)
-        tour = solve_lk(atsp)
-        assert tour_cost(atsp, tour) == pytest.approx(4.0)
+        tour = solve_tour(cost)
+        assert tour_cost(cost, tour) == pytest.approx(4.0)
 
     def test_never_worse_than_nearest_neighbor(self):
         from kglinker.gtsp import _nearest_neighbor
@@ -337,12 +355,9 @@ class TestSolveLk:
                 [[0 if i == j else rng.randint(1, 40) for j in range(n)] for i in range(n)],
                 dtype=float,
             )
-            atsp = AtspInstance(cost=cost)
-            tour = solve_lk(atsp, seed=trial)
-            nn_costs = [
-                tour_cost(atsp, _nearest_neighbor(atsp, s)) for s in range(n)
-            ]
-            assert tour_cost(atsp, tour) <= min(nn_costs) + 1e-9
+            tour = solve_tour(cost, seed=trial)
+            nn_costs = [tour_cost(cost, _nearest_neighbor(cost, s)) for s in range(n)]
+            assert tour_cost(cost, tour) <= min(nn_costs) + 1e-9
 
     def test_deterministic_given_seed(self):
         rng = random.Random(9)
@@ -351,8 +366,7 @@ class TestSolveLk:
             [[0 if i == j else rng.randint(1, 30) for j in range(n)] for i in range(n)],
             dtype=float,
         )
-        atsp = AtspInstance(cost=cost)
-        assert solve_lk(atsp, seed=3) == solve_lk(atsp, seed=3)
+        assert solve_tour(cost, seed=3) == solve_tour(cost, seed=3)
 
 
 class TestSolveApprox:
