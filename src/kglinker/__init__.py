@@ -1,10 +1,10 @@
 """Joint entity and relation linking for questions over knowledge graphs.
 
 Candidates for every spotted keyword are disambiguated together, either by
-solving a clustered shortest-route problem over the graph (exactly or via a
-reduction to an asymmetric TSP with local search) or by re-ranking with
-learned graph-connectivity features, with an adaptive retry that flips
-low-confidence entity/relation predictions.
+solving a clustered shortest-route problem over the graph (exactly, or via a
+reduction to an asymmetric TSP with nearest-neighbour tours) or by
+re-ranking with learned graph-connectivity features, with an adaptive retry
+that flips low-confidence entity/relation predictions.
 """
 
 from .adaptive import adapt

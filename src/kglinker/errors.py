@@ -45,3 +45,8 @@ class ManifestError(KglinkerError):
 
 class DataError(KglinkerError):
     """An input dataset violates a precondition (e.g. missing gold labels)."""
+
+
+# What reading a malformed JSON document into typed fields raises: bad JSON
+# or UTF-8 (ValueError), a missing key, or a value of the wrong shape.
+MALFORMED = (AttributeError, KeyError, TypeError, ValueError)

@@ -5,15 +5,15 @@ graph hop distance between candidates with their retrieval ranks. The exact
 solver is a Held-Karp dynamic program over cluster subsets. The
 approximate path reduces the clustered problem to an asymmetric TSP (one
 zero-cost directed cycle per cluster, inter-cluster arcs shifted to the
-cycle predecessor and offset by a constant larger than any route), solves it
-with nearest-neighbour construction plus 2-opt and Or-opt local search, and
-decodes the tour into a cluster order whose cheapest selection the same
-dynamic program finds.
+cycle predecessor and offset by a constant larger than any route), takes the
+cheapest of several nearest-neighbour tours, and decodes it into a cluster
+order. The same dynamic program then finds the cheapest selection along each
+rotation and reversal of that order, and a polish that relocates one
+cluster at a time improves the best of them.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -25,8 +25,6 @@ from .kg import DISCONNECTED, HopOracle, Kind, hop_block
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_RANK_WEIGHT = 1.0
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -340,7 +338,7 @@ def decode_order(tour: list[int], mapping: NoonBeanMapping) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Local-search tour solver
+# Nearest-neighbour tours
 # ---------------------------------------------------------------------------
 
 
@@ -361,150 +359,24 @@ def _nearest_neighbor(cost: np.ndarray, start: int) -> list[int]:
     return tour
 
 
-def _best_two_opt(cost: np.ndarray, tour: list[int]):
-    """Best segment-reversal move, evaluated with direction-aware sums."""
-    n = len(tour)
-    t = np.asarray(tour)
-    t_next = np.roll(t, -1)
-    pair = cost[np.ix_(t, t)]
-    pair_next = np.roll(np.roll(pair, -1, axis=0), -1, axis=1)
-    forward = cost[t, t_next]
-    backward = cost[t_next, t]
-    pref_f = np.concatenate(([0.0], np.cumsum(forward)))
-    pref_b = np.concatenate(([0.0], np.cumsum(backward)))
-
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    delta = (
-        pair
-        + pair_next
-        + (pref_b[j] - pref_b[np.minimum(i + 1, n)])
-        - forward[:, None]
-        - forward[None, :]
-        - (pref_f[j] - pref_f[np.minimum(i + 1, n)])
-    )
-    delta = np.where(j >= i + 2, delta, np.inf)
-    flat = int(np.argmin(delta))
-    bi, bj = divmod(flat, n)
-    return float(delta[bi, bj]), bi, bj
-
-
-def _apply_two_opt(tour: list[int], i: int, j: int) -> None:
-    tour[i + 1 : j + 1] = reversed(tour[i + 1 : j + 1])
-
-
-def _best_or_opt(cost: np.ndarray, tour: list[int], length: int):
-    """Best relocation of a segment of ``length`` nodes, forward or reversed."""
-    n = len(tour)
-    if n < length + 2:
-        return math.inf, None
-    t = np.asarray(tour)
-    pair = cost[np.ix_(t, t)]
-    idx = np.arange(n)
-    forward = pair[idx, (idx + 1) % n]
-    backward = pair[(idx + 1) % n, idx]
-    pref_f = np.concatenate(([0.0], np.cumsum(forward)))
-    pref_b = np.concatenate(([0.0], np.cumsum(backward)))
-
-    starts = np.arange(0, n - length)  # segments never wrap past the tour end
-    before = (starts - 1) % n
-    after = starts + length
-    removal = pair[before, starts] + pair[after - 1, after] - pair[before, after]
-    seg_f = pref_f[starts + length - 1] - pref_f[starts]
-    seg_r = pref_b[starts + length - 1] - pref_b[starts]
-
-    gaps = idx
-    gaps_next = (gaps + 1) % n
-    base = forward[gaps]
-    delta_f = (
-        pair.T[np.ix_(starts, gaps)]
-        + pair[np.ix_(after - 1, gaps_next)]
-        - base[None, :]
-        - removal[:, None]
-    )
-    delta_r = (
-        pair.T[np.ix_(after - 1, gaps)]
-        + pair[np.ix_(starts, gaps_next)]
-        - base[None, :]
-        - removal[:, None]
-        + (seg_r - seg_f)[:, None]
-    )
-    inside = (gaps[None, :] >= starts[:, None]) & (
-        gaps[None, :] <= starts[:, None] + length - 1
-    )
-    noop = gaps[None, :] == before[:, None]
-    invalid = inside | noop
-    delta_f = np.where(invalid, np.inf, delta_f)
-    delta_r = np.where(invalid, np.inf, delta_r)
-
-    flat_f = int(np.argmin(delta_f))
-    flat_r = int(np.argmin(delta_r))
-    sf, gf = divmod(flat_f, n)
-    sr, gr = divmod(flat_r, n)
-    if delta_f[sf, gf] <= delta_r[sr, gr]:
-        return float(delta_f[sf, gf]), (int(starts[sf]), int(gf), False)
-    return float(delta_r[sr, gr]), (int(starts[sr]), int(gr), True)
-
-
-def _apply_or_opt(tour: list[int], length: int, move) -> list[int]:
-    s, g, reverse = move
-    seg = tour[s : s + length]
-    if reverse:
-        seg = seg[::-1]
-    rest = tour[:s] + tour[s + length :]
-    # index of the gap node within the shortened tour
-    anchor = tour[g]
-    pos = rest.index(anchor)
-    return rest[: pos + 1] + seg + rest[pos + 1 :]
-
-
-def _local_search(cost: np.ndarray, tour: list[int], move_cap: int = 10_000) -> list[int]:
-    moves = 0
-    improved = True
-    while improved and moves < move_cap:
-        improved = False
-        delta, i, j = _best_two_opt(cost, tour)
-        if delta < -_EPS:
-            _apply_two_opt(tour, i, j)
-            moves += 1
-            improved = True
-            continue
-        for length in (1, 2, 3):
-            delta, move = _best_or_opt(cost, tour, length)
-            if move is not None and delta < -_EPS:
-                tour = _apply_or_opt(tour, length, move)
-                moves += 1
-                improved = True
-                break
-    return tour
-
-
 def _normalize_rotation(tour: list[int]) -> list[int]:
     pivot = tour.index(min(tour))
     return tour[pivot:] + tour[:pivot]
 
 
 def solve_tour(cost: np.ndarray, seed: int = 0, starts: int = 6) -> list[int]:
-    """Heuristic tour: multi-start nearest neighbour plus 2-opt/Or-opt descent.
+    """Heuristic tour: the cheapest of several nearest-neighbour tours.
 
-    Deterministic for a given seed; the returned tour never costs more than
-    its nearest-neighbour construction.
+    ``starts`` start nodes are drawn with ``random.Random(seed)``; each
+    tour is rotated to begin at its smallest node, and equal costs go to the
+    smallest such tour, so the result is deterministic for a given seed.
     """
     n = len(cost)
     if n < 3:
         raise InstanceError("tour search needs at least 3 nodes")
-    rng = random.Random(seed)
-    count = min(n, starts)
-    start_nodes = sorted(rng.sample(range(n), count))
-    best: tuple[float, tuple[int, ...]] | None = None
-    for start in start_nodes:
-        tour = _nearest_neighbor(cost, start)
-        tour = _local_search(cost, tour)
-        tour = _normalize_rotation(tour)
-        key = (tour_cost(cost, tour), tuple(tour))
-        if best is None or key < best:
-            best = key
-    return list(best[1])
+    start_nodes = sorted(random.Random(seed).sample(range(n), min(n, starts)))
+    tours = [_normalize_rotation(_nearest_neighbor(cost, start)) for start in start_nodes]
+    return min(tours, key=lambda tour: (tour_cost(cost, tour), tour))
 
 
 def solve_approx(instance: GtspInstance, seed: int = 0) -> Assignment:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import IndexVersionError, ParseError
+from .errors import MALFORMED, DataError, IndexVersionError, ParseError
 from .kg import Kind, KnowledgeGraph, LineSource, iter_data_lines
 
 logger = logging.getLogger(__name__)
@@ -218,19 +218,28 @@ class LabelIndex:
 
     @classmethod
     def load(cls, path: str) -> "LabelIndex":
+        """Read a saved index.
+
+        A header of another version raises IndexVersionError; a truncated or
+        malformed body raises DataError.
+        """
         with open(path, "rb") as handle:
             header = handle.readline().rstrip(b"\n")
             expected = INDEX_MAGIC + b" v%d" % INDEX_VERSION
             if header != expected:
                 raise IndexVersionError(
-                    f"index header {header!r} does not match {expected!r}; rebuild the index"
+                    f"index {path} header {header!r} does not match {expected!r}; "
+                    "rebuild the index"
                 )
-            payload = json.loads(handle.read())
+            body = handle.read()
         index = cls()
-        for kind_value, rows in payload["entries"].items():
-            kind = Kind(kind_value)
-            for uri, label, weight in rows:
-                index._add(LabelEntry(uri=uri, label=label, kind=kind, weight=weight))
+        try:
+            for kind_value, rows in json.loads(body)["entries"].items():
+                kind = Kind(kind_value)
+                for uri, label, weight in rows:
+                    index._add(LabelEntry(uri=uri, label=label, kind=kind, weight=weight))
+        except MALFORMED as exc:
+            raise DataError(f"index {path} is malformed ({exc!r}); rebuild the index") from None
         return index
 
 

@@ -18,7 +18,7 @@ from . import gtsp
 from .adaptive import adapt
 from .config import PipelineConfig
 from .density import compute_features
-from .errors import DataError, InstanceError, ManifestError, TooLargeError
+from .errors import MALFORMED, DataError, InstanceError, ManifestError, TooLargeError
 from .index import (
     Candidate,
     CandidateList,
@@ -212,8 +212,14 @@ def check_manifest(directory: str | Path, config: PipelineConfig) -> None:
     path = _manifest_path(directory)
     if not path.exists():
         raise ManifestError(f"no manifest in artifact directory {directory}; build artifacts first")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    if manifest.get("artifact_hash") != config.artifact_hash():
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        stored_hash = manifest["artifact_hash"]
+    except MALFORMED as exc:
+        raise ManifestError(
+            f"manifest {path} is malformed ({exc!r}); rebuild the artifacts"
+        ) from None
+    if stored_hash != config.artifact_hash():
         raise ManifestError(
             f"artifact directory {directory} was built with a different "
             "configuration (hop_cap/k/seed); rebuild or use matching settings"

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .density import DensityFeatures
-from .errors import DataError, ParseError, TrainingError
+from .errors import MALFORMED, DataError, ParseError, TrainingError
 from .index import Candidate, CandidateList
 from .kg import LineSource, iter_data_lines
 from .logreg import fit_logistic, sigmoid
@@ -142,17 +142,23 @@ class RerankModel:
 
     @classmethod
     def load(cls, path: str) -> "RerankModel":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("version") != RERANK_MODEL_VERSION:
-            raise DataError(f"unsupported rerank model version: {payload.get('version')}")
-        return cls(
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            bias=float(payload["bias"]),
-            means=np.asarray(payload["scaling"]["means"], dtype=np.float64),
-            stds=np.asarray(payload["scaling"]["stds"], dtype=np.float64),
-            feature_subset=tuple(payload["feature_names"]),
-        )
+        """Read a saved model; a truncated or malformed file raises DataError."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            if payload.get("version") != RERANK_MODEL_VERSION:
+                raise DataError(f"unsupported rerank model version: {payload.get('version')}")
+            return cls(
+                weights=np.asarray(payload["weights"], dtype=np.float64),
+                bias=float(payload["bias"]),
+                means=np.asarray(payload["scaling"]["means"], dtype=np.float64),
+                stds=np.asarray(payload["scaling"]["stds"], dtype=np.float64),
+                feature_subset=tuple(payload["feature_names"]),
+            )
+        except MALFORMED as exc:
+            raise DataError(
+                f"rerank model {path} is malformed ({exc!r}); rerun train-reranker"
+            ) from None
 
 
 def _fit_model(rows: Sequence[TrainingRow], columns: list[int], subset: tuple[str, ...]) -> RerankModel:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, TrainingError
+from .errors import MALFORMED, DataError, TrainingError
 from .index import normalize
 from .kg import Kind
 from .logreg import fit_logistic, sigmoid
@@ -67,8 +67,9 @@ class ERPrediction:
 def load_questions(source) -> list[Question]:
     """Load a question dataset: JSON array of {id, text, spans?} objects.
 
-    A file that is not JSON, or an item or span that lacks a field or has
-    a kind other than E or R, raises DataError naming the item.
+    A file that is not JSON, or an item or span that lacks a field, has a
+    kind other than E or R, or has a phrase that normalises to nothing,
+    raises DataError naming the item.
     """
     try:
         if hasattr(source, "read"):
@@ -89,8 +90,11 @@ def load_questions(source) -> list[Question]:
                     GoldSpan(phrase=s["phrase"], kind=Kind.parse(s["kind"]), uri=s["uri"])
                     for s in item["spans"]
                 ]
+                for span in spans:
+                    if not normalize(span.phrase):
+                        raise ValueError(f"span phrase {span.phrase!r} normalises to nothing")
             questions.append(Question(id=str(item["id"]), text=item["text"], gold_spans=spans))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
             raise DataError(f"question dataset item {number}: {detail}") from None
     return questions
@@ -105,9 +109,10 @@ def extract_keywords(
     """Extract keyword phrases from a question.
 
     Gold mode returns the annotated phrases verbatim, in order. Chunker mode
-    drops stopwords, splits the remaining tokens into contiguous runs and
-    greedily merges each run against ``vocabulary``: the longest token window
-    whose normalised form is a known label becomes one phrase.
+    drops stopwords and tokens that normalise to nothing (``___``), splits
+    the remaining tokens into contiguous runs and greedily merges each run
+    against ``vocabulary``: the longest token window whose normalised form
+    is a known label becomes one phrase.
     """
     if mode is SpotMode.GOLD:
         if question.gold_spans is None:
@@ -119,7 +124,7 @@ def extract_keywords(
     runs: list[list[tuple[str, int, int]]] = []
     current: list[tuple[str, int, int]] = []
     for token, start, end in spans:
-        if token.lower() in words:
+        if token.lower() in words or not normalize(token):
             if current:
                 runs.append(current)
                 current = []
@@ -202,16 +207,20 @@ class ERModel:
 
     @classmethod
     def load(cls, path: str) -> "ERModel":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("version") != ER_MODEL_VERSION:
-            raise DataError(f"unsupported ER model version: {payload.get('version')}")
-        return cls(
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            bias=float(payload["bias"]),
-            entity_vocab=frozenset(payload["entity_vocab"]),
-            relation_vocab=frozenset(payload["relation_vocab"]),
-        )
+        """Read a saved model; a truncated or malformed file raises DataError."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            if payload.get("version") != ER_MODEL_VERSION:
+                raise DataError(f"unsupported ER model version: {payload.get('version')}")
+            return cls(
+                weights=np.asarray(payload["weights"], dtype=np.float64),
+                bias=float(payload["bias"]),
+                entity_vocab=frozenset(payload["entity_vocab"]),
+                relation_vocab=frozenset(payload["relation_vocab"]),
+            )
+        except MALFORMED as exc:
+            raise DataError(f"ER model {path} is malformed ({exc!r}); rerun train-er") from None
 
 
 def train_er_classifier(

@@ -151,6 +151,20 @@ class TestLinkCommand:
         assert lines[1] == {"question_id": "stdin-1", "error": "broken line"}
         assert "keywords" in lines[0] and "keywords" in lines[2]
 
+    def test_stdin_underscore_token_does_not_end_stream(self, cli_setup, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO(
+                "Who founded SpaceX?\nWho is the ___ of Tesla?\nWhere was Elon Musk born?\n"
+            ),
+        )
+        assert main(["link", "--config", cli_setup["config"]]) == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert [l["question_id"] for l in lines] == ["stdin-0", "stdin-1", "stdin-2"]
+        assert "___" not in [b["keyword"] for b in lines[1]["keywords"]]
+
     def test_stdin_read_lazily(self, cli_setup, capsys, monkeypatch):
         from kglinker.pipeline import Pipeline
 
@@ -289,9 +303,19 @@ class TestExitCodes:
             ('[{"id": "1", "text": "founder of Tesla", '
              '"spans": [{"phrase": "Tesla", "kind": "Q", "uri": "dbr:Tesla"}]}]', None,
              "item 0: expected 'E' or 'R', got 'Q'"),
+            ('[{"id": "1", "text": "founder of Tesla", '
+             '"spans": [{"phrase": "___", "kind": "R", "uri": "dbo:founder"}]}]', None,
+             "item 0: span phrase '___' normalises to nothing"),
             ("[]", '{"k": "30"}', "config key 'k' must be int, got '30'"),
         ],
-        ids=["dataset_json", "config_json", "item_without_text", "span_kind_q", "config_k_string"],
+        ids=[
+            "dataset_json",
+            "config_json",
+            "item_without_text",
+            "span_kind_q",
+            "span_phrase_empty",
+            "config_k_string",
+        ],
     )
     def test_malformed_input_is_data_error(
         self, cli_setup, tmp_path, capsys, dataset, config, message
@@ -304,3 +328,27 @@ class TestExitCodes:
             config_path.write_text(config)
         assert main(["eval", "--config", str(config_path), "--dataset", str(dataset_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("manifest.json", b"{"),
+            ("er_model.json", b"{"),
+            ("rerank_model.json", b"{"),
+            ("index.bin", b'KGLINKER-INDEX v2\n{"entr'),
+        ],
+        ids=["manifest", "er_model", "rerank_model", "index"],
+    )
+    def test_truncated_artifact_is_data_error(self, cli_setup, tmp_path, capsys, name, content):
+        import shutil
+
+        config = json.loads((cli_setup["tmp"] / "config.json").read_text())
+        artifacts = tmp_path / "artifacts"
+        shutil.copytree(config["artifacts"], artifacts)
+        (artifacts / name).write_bytes(content)
+        config["artifacts"] = str(artifacts)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = main(["link", "--config", str(config_path), "--question", "Who founded SpaceX?"])
+        assert code == 2
+        assert name in capsys.readouterr().err
