@@ -237,10 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except KglinkerError as exc:
-        print(f"kglinker: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KglinkerError, OSError) as exc:
         print(f"kglinker: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .adaptive import DEFAULT_THRESHOLD
-from .errors import DataError
+from .errors import DataError, read_json
 
 STRATEGIES = ("exact", "approx", "density")
 
@@ -75,12 +75,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"config {path} is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+        return read_json(path, cls.from_dict, DataError, "expected a JSON object of config keys")
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as handle:

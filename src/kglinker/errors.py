@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one guarded JSON read."""
+
+from __future__ import annotations
+
+import json
+from typing import Any, Callable
 
 
 class KglinkerError(Exception):
@@ -50,3 +55,19 @@ class DataError(KglinkerError):
 # What reading a malformed JSON document into typed fields raises: bad JSON
 # or UTF-8 (ValueError), a missing key, or a value of the wrong shape.
 MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def describe(exc: Exception) -> str:
+    """One line for a MALFORMED exception; a KeyError names the missing field."""
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def read_json(path, parse: Callable[[Any], Any], error: type[KglinkerError], hint: str) -> Any:
+    """Return ``parse`` of the UTF-8 JSON file at ``path``; bad bytes or a MALFORMED
+    exception from ``parse`` raise ``error`` naming the file, then ``hint``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(json.load(handle))
+    except MALFORMED as exc:
+        problem = "is not valid JSON" if isinstance(exc, json.JSONDecodeError) else "is malformed"
+        raise error(f"{path} {problem}: {describe(exc)}; {hint}") from None

@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import MALFORMED, DataError, IndexVersionError, ParseError
-from .kg import Kind, KnowledgeGraph, LineSource, iter_data_lines
+from .errors import MALFORMED, DataError, IndexVersionError
+from .kg import Kind, KnowledgeGraph, LineSource, read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -281,38 +281,34 @@ def build_index(
     return index
 
 
-def read_label_entries(source: LineSource, name: str | None = None) -> list[LabelEntry]:
+def read_label_entries(source: LineSource) -> list[LabelEntry]:
     """Parse a labels file: ``uri<TAB>label<TAB>E|R[<TAB>weight]``."""
-    entries = []
-    for number, line in iter_data_lines(source):
-        parts = line.split("\t")
-        if len(parts) not in (3, 4):
-            raise ParseError(f"expected 3 or 4 tab-separated fields, got {len(parts)}", number, name)
-        uri, label, kind_text = parts[0].strip(), parts[1].strip(), parts[2]
-        if not uri or not label:
-            raise ParseError("empty uri or label", number, name)
-        try:
-            kind = Kind.parse(kind_text)
-        except ValueError as exc:
-            raise ParseError(str(exc), number, name) from None
-        weight = 1.0
-        if len(parts) == 4:
-            try:
-                weight = float(parts[3])
-            except ValueError:
-                raise ParseError(f"bad weight {parts[3]!r}", number, name) from None
-            if weight < 0:
-                raise ParseError(f"negative weight {weight}", number, name)
-        entries.append(LabelEntry(uri=uri, label=label, kind=kind, weight=weight))
-    return entries
+    return list(read_rows(source, _parse_label_entry))
 
 
-def read_expansions(source: LineSource, name: str | None = None) -> list[tuple[str, str]]:
+def _parse_label_entry(line: str) -> LabelEntry:
+    parts = line.split("\t")
+    if len(parts) not in (3, 4):
+        raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(parts)}")
+    uri, label, kind_text = parts[0].strip(), parts[1].strip(), parts[2]
+    if not uri or not label:
+        raise ValueError("empty uri or label")
+    kind = Kind.parse(kind_text)
+    weight = 1.0
+    if len(parts) == 4:
+        weight = float(parts[3])
+        if weight < 0:
+            raise ValueError(f"negative weight {weight}")
+    return LabelEntry(uri=uri, label=label, kind=kind, weight=weight)
+
+
+def read_expansions(source: LineSource) -> list[tuple[str, str]]:
     """Parse an expansions file: ``label<TAB>variant``."""
-    pairs = []
-    for number, line in iter_data_lines(source):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise ParseError("expected 'label<TAB>variant'", number, name)
-        pairs.append((parts[0].strip(), parts[1].strip()))
-    return pairs
+    return list(read_rows(source, _parse_expansion))
+
+
+def _parse_expansion(line: str) -> tuple[str, str]:
+    parts = line.split("\t")
+    if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+        raise ValueError("expected 'label<TAB>variant'")
+    return parts[0].strip(), parts[1].strip()

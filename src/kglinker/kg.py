@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -66,44 +66,38 @@ class KnowledgeGraph:
 LineSource = Union[str, os.PathLike, TextIO, Iterable[str]]
 
 
-def _iter_lines(source: LineSource) -> Iterator[tuple[int, str]]:
+def _iter_lines(source: LineSource) -> Iterator[tuple[int, str | bytes]]:
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(source, "rb") as handle:
             yield from enumerate(handle, start=1)
     else:
         yield from enumerate(source, start=1)
 
 
-def iter_data_lines(source: LineSource) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, stripped_line) skipping blanks and '#' comments."""
+def read_rows(source: LineSource, parse: Callable[[str], Any]) -> Iterator:
+    """Yield ``parse`` of each line but blanks and '#' comments; a ValueError
+    from it or a line that is not UTF-8 raises ParseError naming file and line."""
+    name = os.fspath(source) if isinstance(source, (str, os.PathLike)) else None
     for number, raw in _iter_lines(source):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield number, line
+        try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).rstrip("\r\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            yield parse(line)
+        except ValueError as exc:
+            raise ParseError(str(exc), number, name) from None
 
 
-def load_graph(source: LineSource, name: str | None = None) -> KnowledgeGraph:
+def load_graph(source: LineSource) -> KnowledgeGraph:
     """Load a knowledge graph from a line-oriented triple stream.
 
     Each data line holds three identifiers separated by a tab (or, as a
     convenience, any whitespace when the line contains no tab). Duplicate
     triples are stored once. An empty stream yields an empty graph.
     """
-    if name is None and isinstance(source, (str, os.PathLike)):
-        name = os.fspath(source)
     kg = KnowledgeGraph()
     seen: set[Triple] = set()
-    for number, line in iter_data_lines(source):
-        if "\t" in line:
-            parts = [p.strip() for p in line.split("\t")]
-        else:
-            parts = line.split()
-        if len(parts) != 3 or not all(parts):
-            raise ParseError(
-                f"expected 3 tab-separated fields, got {len(parts)}", number, name
-            )
-        triple = Triple(*parts)
+    for triple in read_rows(source, _parse_triple):
         if triple in seen:
             continue
         seen.add(triple)
@@ -112,6 +106,16 @@ def load_graph(source: LineSource, name: str | None = None) -> KnowledgeGraph:
         kg.vertices.add(triple.object)
         kg.edge_labels.add(triple.predicate)
     return kg
+
+
+def _parse_triple(line: str) -> Triple:
+    if "\t" in line:
+        parts = [p.strip() for p in line.split("\t")]
+    else:
+        parts = line.split()
+    if len(parts) != 3 or not all(parts):
+        raise ValueError(f"expected 3 tab-separated fields, got {len(parts)}")
+    return Triple(*parts)
 
 
 class SubdivisionGraph:

@@ -1,4 +1,4 @@
-"""Deterministic batch-gradient-descent logistic regression.
+"""Deterministic batch-gradient-descent logistic regression, and its saved form.
 
 Deliberately tiny: both classifiers in this package need reproducible,
 zero-initialised fits on small feature matrices, which rules out stochastic
@@ -7,7 +7,11 @@ solvers and makes an external dependency pointless.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+from .errors import DataError, read_json
 
 
 def sigmoid(z):
@@ -48,3 +52,36 @@ def fit_logistic(
                 break
             previous_loss = loss
     return weights, bias
+
+
+class LogisticModel:
+    """Weights and a bias saved as versioned JSON. A subclass sets ``VERSION``,
+    ``RETRAIN`` (the command that writes the file) and ``n_features``, the length
+    of every vector it holds; it adds keys in ``_fields``, read by ``_extra_args``."""
+
+    def __init__(self, weights: np.ndarray, bias: float) -> None:
+        self.weights = weights
+        self.bias = bias
+
+    def _fields(self) -> dict:
+        return {"weights": self.weights.tolist(), "bias": self.bias}
+
+    def save(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"version": self.VERSION, **self._fields()}, handle)
+
+    @classmethod
+    def load(cls, path: str):
+        """Read a saved model; a malformed file raises DataError naming it."""
+        return read_json(path, cls._parse, DataError, f"rerun {cls.RETRAIN}")
+
+    @classmethod
+    def _parse(cls, payload: dict):
+        if payload["version"] != cls.VERSION:
+            raise ValueError(f"unsupported version {payload['version']!r}; expected {cls.VERSION}")
+        weights = np.asarray(payload["weights"], dtype=np.float64)
+        model = cls(weights, float(payload["bias"]), *cls._extra_args(payload))
+        for name, value in vars(model).items():
+            if isinstance(value, np.ndarray) and value.shape != (model.n_features,):
+                raise ValueError(f"{name} has shape {value.shape}; expected ({model.n_features},)")
+        return model

@@ -12,13 +12,14 @@ import json
 import time
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from . import gtsp
 from .adaptive import adapt
 from .config import PipelineConfig
 from .density import compute_features
-from .errors import MALFORMED, DataError, InstanceError, ManifestError, TooLargeError
+from .errors import DataError, InstanceError, ManifestError, TooLargeError, read_json
 from .index import (
     Candidate,
     CandidateList,
@@ -212,13 +213,7 @@ def check_manifest(directory: str | Path, config: PipelineConfig) -> None:
     path = _manifest_path(directory)
     if not path.exists():
         raise ManifestError(f"no manifest in artifact directory {directory}; build artifacts first")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        stored_hash = manifest["artifact_hash"]
-    except MALFORMED as exc:
-        raise ManifestError(
-            f"manifest {path} is malformed ({exc!r}); rebuild the artifacts"
-        ) from None
+    stored_hash = read_json(path, itemgetter("artifact_hash"), ManifestError, "rebuild artifacts")
     if stored_hash != config.artifact_hash():
         raise ManifestError(
             f"artifact directory {directory} was built with a different "

@@ -8,7 +8,6 @@ the correct candidate after re-ranking each held-out group.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from operator import attrgetter
@@ -17,12 +16,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .density import DensityFeatures
-from .errors import MALFORMED, DataError, ParseError, TrainingError
+from .errors import DataError, TrainingError
 from .index import Candidate, CandidateList
-from .kg import LineSource, iter_data_lines
-from .logreg import fit_logistic, sigmoid
-
-RERANK_MODEL_VERSION = 1
+from .kg import LineSource, read_rows
+from .logreg import LogisticModel, fit_logistic, sigmoid
 
 FEATURE_NAMES = ("initial_rank", "connection_count", "hop_count")
 
@@ -75,31 +72,30 @@ def write_feature_rows(path: str, rows: Iterable[TrainingRow]) -> None:
             )
 
 
-def read_feature_rows(source: LineSource, name: str | None = None) -> list[TrainingRow]:
-    rows = []
-    for number, line in iter_data_lines(source):
-        parts = line.split("\t")
-        if len(parts) != 7:
-            raise ParseError(f"expected 7 tab-separated fields, got {len(parts)}", number, name)
-        try:
-            rows.append(
-                TrainingRow(
-                    question_id=parts[0],
-                    keyword=parts[1],
-                    uri=parts[2],
-                    initial_rank=float(parts[3]),
-                    connection_count=float(parts[4]),
-                    hop_count=float(parts[5]),
-                    label=int(parts[6]),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"bad numeric field: {exc}", number, name) from None
-    return rows
+def read_feature_rows(source: LineSource) -> list[TrainingRow]:
+    return list(read_rows(source, _parse_feature_row))
 
 
-class RerankModel:
+def _parse_feature_row(line: str) -> TrainingRow:
+    parts = line.split("\t")
+    if len(parts) != 7:
+        raise ValueError(f"expected 7 tab-separated fields, got {len(parts)}")
+    return TrainingRow(
+        question_id=parts[0],
+        keyword=parts[1],
+        uri=parts[2],
+        initial_rank=float(parts[3]),
+        connection_count=float(parts[4]),
+        hop_count=float(parts[5]),
+        label=int(parts[6]),
+    )
+
+
+class RerankModel(LogisticModel):
     """Immutable scorer over standardised connectivity features."""
+
+    VERSION = 1
+    RETRAIN = "train-reranker"
 
     def __init__(
         self,
@@ -109,11 +105,11 @@ class RerankModel:
         stds: np.ndarray,
         feature_subset: tuple[str, ...] = FEATURE_NAMES,
     ) -> None:
-        self.weights = weights
-        self.bias = bias
+        super().__init__(weights, bias)
         self.means = means
         self.stds = stds
         self.feature_subset = feature_subset
+        self.n_features = len(feature_subset)
         self._columns = [FEATURE_NAMES.index(name) for name in feature_subset]
 
     def _matrix(self, rows: Sequence[Sequence[float]]) -> np.ndarray:
@@ -129,36 +125,18 @@ class RerankModel:
     def probability(self, row: Sequence[float]) -> float:
         return float(self.probabilities([row])[0])
 
-    def save(self, path: str) -> None:
-        payload = {
-            "version": RERANK_MODEL_VERSION,
+    def _fields(self) -> dict:
+        return {
             "feature_names": list(self.feature_subset),
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
+            **super()._fields(),
             "scaling": {"means": self.means.tolist(), "stds": self.stds.tolist()},
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
 
-    @classmethod
-    def load(cls, path: str) -> "RerankModel":
-        """Read a saved model; a truncated or malformed file raises DataError."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("version") != RERANK_MODEL_VERSION:
-                raise DataError(f"unsupported rerank model version: {payload.get('version')}")
-            return cls(
-                weights=np.asarray(payload["weights"], dtype=np.float64),
-                bias=float(payload["bias"]),
-                means=np.asarray(payload["scaling"]["means"], dtype=np.float64),
-                stds=np.asarray(payload["scaling"]["stds"], dtype=np.float64),
-                feature_subset=tuple(payload["feature_names"]),
-            )
-        except MALFORMED as exc:
-            raise DataError(
-                f"rerank model {path} is malformed ({exc!r}); rerun train-reranker"
-            ) from None
+    @staticmethod
+    def _extra_args(payload: dict) -> tuple:
+        means = np.asarray(payload["scaling"]["means"], dtype=np.float64)
+        stds = np.asarray(payload["scaling"]["stds"], dtype=np.float64)
+        return means, stds, tuple(payload["feature_names"])
 
 
 def _fit_model(rows: Sequence[TrainingRow], columns: list[int], subset: tuple[str, ...]) -> RerankModel:

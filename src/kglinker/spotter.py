@@ -9,7 +9,6 @@ external resources.
 
 from __future__ import annotations
 
-import json
 import re
 import zlib
 from dataclasses import dataclass
@@ -18,15 +17,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import MALFORMED, DataError, TrainingError
+from .errors import MALFORMED, DataError, TrainingError, describe, read_json
 from .index import normalize
 from .kg import Kind
-from .logreg import fit_logistic, sigmoid
+from .logreg import LogisticModel, fit_logistic, sigmoid
 from .stopwords import DEFAULT_STOPWORDS
 
 _WORD = re.compile(r"\w+", re.UNICODE)
-
-ER_MODEL_VERSION = 1
 
 # Training schedule for the kind classifier.
 ER_LEARNING_RATE = 0.1
@@ -35,6 +32,7 @@ ER_LOSS_TOLERANCE = 1e-6
 
 _HASH_DIM = 96
 _SUFFIXES = ("er", "ion", "ed")
+_N_FEATURES = _HASH_DIM + 5 + len(_SUFFIXES)
 _MAX_MERGE_TOKENS = 4
 
 
@@ -64,23 +62,19 @@ class ERPrediction:
     confidence: float
 
 
-def load_questions(source) -> list[Question]:
+def load_questions(path: str) -> list[Question]:
     """Load a question dataset: JSON array of {id, text, spans?} objects.
 
-    A file that is not JSON, or an item or span that lacks a field, has a
-    kind other than E or R, or has a phrase that normalises to nothing,
-    raises DataError naming the item.
+    A file that is not UTF-8 JSON, or an item or span that lacks a field,
+    has a kind other than E or R, or has a phrase that normalises to
+    nothing, raises DataError naming the file and the item.
     """
-    try:
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"question dataset is not valid JSON: {exc}") from None
+    return read_json(path, _parse_questions, DataError, "expected an array of {id, text, spans?}")
+
+
+def _parse_questions(data: list) -> list[Question]:
     if not isinstance(data, list):
-        raise DataError("question dataset must be a JSON array")
+        raise TypeError("the document is not an array")
     questions = []
     for number, item in enumerate(data):
         try:
@@ -95,8 +89,7 @@ def load_questions(source) -> list[Question]:
                         raise ValueError(f"span phrase {span.phrase!r} normalises to nothing")
             questions.append(Question(id=str(item["id"]), text=item["text"], gold_spans=spans))
         except MALFORMED as exc:
-            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise DataError(f"question dataset item {number}: {detail}") from None
+            raise ValueError(f"item {number}: {describe(exc)}") from None
     return questions
 
 
@@ -159,7 +152,7 @@ def _phrase_features(
     relation_vocab: frozenset[str],
 ) -> np.ndarray:
     """Hashed character n-grams plus shape and vocabulary indicators."""
-    vec = np.zeros(_HASH_DIM + 5 + len(_SUFFIXES), dtype=np.float64)
+    vec = np.zeros(_N_FEATURES, dtype=np.float64)
     norm = normalize(phrase)
     for n in (2, 3):
         for i in range(max(0, len(norm) - n + 1)):
@@ -176,8 +169,12 @@ def _phrase_features(
     return vec
 
 
-class ERModel:
+class ERModel(LogisticModel):
     """Immutable phrase-kind classifier; concurrent prediction is safe."""
+
+    VERSION = 1
+    RETRAIN = "train-er"
+    n_features = _N_FEATURES
 
     def __init__(
         self,
@@ -186,41 +183,23 @@ class ERModel:
         entity_vocab: frozenset[str],
         relation_vocab: frozenset[str],
     ) -> None:
-        self.weights = weights
-        self.bias = bias
+        super().__init__(weights, bias)
         self.entity_vocab = entity_vocab
         self.relation_vocab = relation_vocab
 
     def predict(self, phrase: str) -> ERPrediction:
         return predict_er(self, phrase)
 
-    def save(self, path: str) -> None:
-        payload = {
-            "version": ER_MODEL_VERSION,
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
+    def _fields(self) -> dict:
+        return {
+            **super()._fields(),
             "entity_vocab": sorted(self.entity_vocab),
             "relation_vocab": sorted(self.relation_vocab),
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
 
-    @classmethod
-    def load(cls, path: str) -> "ERModel":
-        """Read a saved model; a truncated or malformed file raises DataError."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("version") != ER_MODEL_VERSION:
-                raise DataError(f"unsupported ER model version: {payload.get('version')}")
-            return cls(
-                weights=np.asarray(payload["weights"], dtype=np.float64),
-                bias=float(payload["bias"]),
-                entity_vocab=frozenset(payload["entity_vocab"]),
-                relation_vocab=frozenset(payload["relation_vocab"]),
-            )
-        except MALFORMED as exc:
-            raise DataError(f"ER model {path} is malformed ({exc!r}); rerun train-er") from None
+    @staticmethod
+    def _extra_args(payload: dict) -> tuple:
+        return frozenset(payload["entity_vocab"]), frozenset(payload["relation_vocab"])
 
 
 def train_er_classifier(

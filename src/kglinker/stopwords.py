@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .kg import LineSource, iter_data_lines
+from .kg import LineSource, read_rows
 
 DEFAULT_STOPWORDS = frozenset(
     """
@@ -23,7 +23,4 @@ DEFAULT_STOPWORDS = frozenset(
 
 def load_stopwords(source: LineSource) -> frozenset[str]:
     """Read a stopword file (one word per line, '#' comments)."""
-    words = set()
-    for _number, line in iter_data_lines(source):
-        words.add(line.strip().lower())
-    return frozenset(words)
+    return frozenset(read_rows(source, lambda line: line.strip().lower()))

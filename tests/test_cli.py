@@ -254,6 +254,11 @@ class TestEvalCommand:
         assert set(payload["ablation_mrr"]) == {"initial_rank", "connectivity", "all"}
 
 
+def _with_key(key, value):
+    """An edit of a JSON artifact that sets one top-level key."""
+    return lambda raw: json.dumps({**json.loads(raw), key: value}).encode()
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, cli_setup, capsys):
         assert main(["link", "--config", cli_setup["config"], "--bogus"]) == 1
@@ -307,6 +312,8 @@ class TestExitCodes:
              '"spans": [{"phrase": "___", "kind": "R", "uri": "dbo:founder"}]}]', None,
              "item 0: span phrase '___' normalises to nothing"),
             ("[]", '{"k": "30"}', "config key 'k' must be int, got '30'"),
+            (b'\xff\xfe[{"id": 1}]', None, "dataset.json is malformed"),
+            ("[]", b'\xff\xfe{"k": 3}', "config.json is malformed"),
         ],
         ids=[
             "dataset_json",
@@ -315,37 +322,53 @@ class TestExitCodes:
             "span_kind_q",
             "span_phrase_empty",
             "config_k_string",
+            "dataset_not_utf8",
+            "config_not_utf8",
         ],
     )
     def test_malformed_input_is_data_error(
         self, cli_setup, tmp_path, capsys, dataset, config, message
     ):
+        def write(path, content):
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+
         dataset_path = tmp_path / "dataset.json"
-        dataset_path.write_text(dataset)
+        write(dataset_path, dataset)
         config_path = cli_setup["config"]
         if config is not None:
             config_path = tmp_path / "config.json"
-            config_path.write_text(config)
+            write(config_path, config)
         assert main(["eval", "--config", str(config_path), "--dataset", str(dataset_path)]) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name, content",
+        "name, edit",
         [
-            ("manifest.json", b"{"),
-            ("er_model.json", b"{"),
-            ("rerank_model.json", b"{"),
-            ("index.bin", b'KGLINKER-INDEX v2\n{"entr'),
+            ("manifest.json", lambda _: b"{"),
+            ("er_model.json", lambda _: b"{"),
+            ("rerank_model.json", lambda _: b"{"),
+            ("index.bin", lambda _: b'KGLINKER-INDEX v2\n{"entr'),
+            ("er_model.json", _with_key("weights", [1.0])),
+            ("rerank_model.json", _with_key("weights", [1.0])),
+            ("rerank_model.json", _with_key("scaling", {"means": [0.0], "stds": [1.0]})),
         ],
-        ids=["manifest", "er_model", "rerank_model", "index"],
+        ids=[
+            "manifest",
+            "er_model",
+            "rerank_model",
+            "index",
+            "er_model_short_weights",
+            "rerank_model_short_weights",
+            "rerank_model_short_scaling",
+        ],
     )
-    def test_truncated_artifact_is_data_error(self, cli_setup, tmp_path, capsys, name, content):
+    def test_truncated_artifact_is_data_error(self, cli_setup, tmp_path, capsys, name, edit):
         import shutil
 
         config = json.loads((cli_setup["tmp"] / "config.json").read_text())
         artifacts = tmp_path / "artifacts"
         shutil.copytree(config["artifacts"], artifacts)
-        (artifacts / name).write_bytes(content)
+        (artifacts / name).write_bytes(edit((artifacts / name).read_bytes()))
         config["artifacts"] = str(artifacts)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))

@@ -13,8 +13,13 @@ from kglinker.kg import (
     hop_block,
     load_graph,
 )
+from kglinker.index import read_expansions, read_label_entries
+from kglinker.reranker import read_feature_rows
+from kglinker.stopwords import load_stopwords
 
 from oracles import all_pairs_bfs
+
+TSV_READERS = (load_graph, read_label_entries, read_expansions, load_stopwords, read_feature_rows)
 
 
 def make_graph(lines):
@@ -55,6 +60,24 @@ class TestLoadGraph:
         with pytest.raises(ParseError) as excinfo:
             make_graph(["A\tp\tB", "A\tp"])
         assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "reader, content",
+        [pytest.param(r, b"# header\nA\t\xff\tB\n", id=f"{r.__name__}-not_utf8") for r in TSV_READERS]
+        # Any one-field line is a valid stopword.
+        + [
+            pytest.param(r, b"# header\nA\n", id=f"{r.__name__}-one_field")
+            for r in TSV_READERS
+            if r is not load_stopwords
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, reader, content):
+        path = tmp_path / "input.tsv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as excinfo:
+            reader(str(path))
+        assert excinfo.value.line_number == 2
+        assert excinfo.value.source == str(path)
 
 
 class TestBuildSubdivision:

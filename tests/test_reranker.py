@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -226,6 +227,17 @@ class TestModelPersistence:
         vector = (2.0, 0.7, 1.5)
         assert loaded.probability(vector) == pytest.approx(model.probability(vector))
         assert loaded.feature_subset == model.feature_subset
+        again = tmp_path / "again.json"
+        loaded.save(str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_other_version_is_refused(self, tmp_path):
+        model, _ = train(synthetic_rows(random.Random(39), questions=30), folds=5)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 2}))
+        with pytest.raises(DataError, match="model.json.*unsupported version 2"):
+            RerankModel.load(str(path))
 
 
 class TestFeatureDump:

@@ -149,3 +149,14 @@ class TestERClassifier:
         model.save(str(path))
         loaded = ERModel.load(str(path))
         assert predict_er(loaded, "founder") == predict_er(model, "founder")
+        again = tmp_path / "again.json"
+        loaded.save(str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_other_version_is_refused(self, tmp_path):
+        examples, entities, relations = training_examples()
+        path = tmp_path / "er.json"
+        train_er_classifier(examples, entities, relations).save(str(path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 2}))
+        with pytest.raises(DataError, match="er.json.*unsupported version 2"):
+            ERModel.load(str(path))
