@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .adaptive import DEFAULT_THRESHOLD
 from .errors import DataError, read_json
+from .kg import MAX_HOP_CAP
 
 STRATEGIES = ("exact", "approx", "density")
 
@@ -44,8 +45,8 @@ class PipelineConfig:
             raise DataError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.k < 1:
             raise DataError("k must be >= 1")
-        if self.hop_cap < 2:
-            raise DataError("hop_cap must be >= 2 for connectivity features")
+        if not 2 <= self.hop_cap <= MAX_HOP_CAP:
+            raise DataError(f"hop_cap must be in [2, {MAX_HOP_CAP}]: connectivity needs 2 hops")
         if self.rank_weight < 0:
             raise DataError("rank_weight must be >= 0")
         if not 0.0 <= self.er_flip_fraction <= 1.0:

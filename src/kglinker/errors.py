@@ -63,11 +63,11 @@ def describe(exc: Exception) -> str:
 
 
 def read_json(path, parse: Callable[[Any], Any], error: type[KglinkerError], hint: str) -> Any:
-    """Return ``parse`` of the UTF-8 JSON file at ``path``; bad bytes or a MALFORMED
-    exception from ``parse`` raise ``error`` naming the file, then ``hint``."""
+    """Return ``parse`` of the UTF-8 JSON file at ``path``; bad bytes, or a MALFORMED
+    exception or an ``error`` from ``parse``, raise ``error`` naming the file, then ``hint``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse(json.load(handle))
-    except MALFORMED as exc:
+    except (*MALFORMED, error) as exc:
         problem = "is not valid JSON" if isinstance(exc, json.JSONDecodeError) else "is malformed"
         raise error(f"{path} {problem}: {describe(exc)}; {hint}") from None

@@ -33,17 +33,17 @@ def normalize(text: str) -> str:
 
 
 def tokens_of(text: str) -> frozenset[str]:
-    norm = normalize(text)
-    return frozenset(norm.split()) if norm else frozenset()
+    return frozenset(normalize(text).split())
 
 
 def trigrams_of(text: str) -> frozenset[str]:
     """Character trigrams of the normalised string; short strings gram to themselves."""
-    norm = normalize(text)
-    if not norm:
-        return frozenset()
+    return _trigrams(normalize(text))
+
+
+def _trigrams(norm: str) -> frozenset[str]:
     if len(norm) < 3:
-        return frozenset((norm,))
+        return frozenset((norm,) if norm else ())
     return frozenset(norm[i : i + 3] for i in range(len(norm) - 2))
 
 
@@ -81,7 +81,6 @@ class CandidateList:
 class _Indexed:
     uri: str
     label: str
-    norm: str
     tokens: frozenset[str]
     trigrams: frozenset[str]
     weight: float
@@ -95,16 +94,12 @@ class _KindIndex:
         self.token_postings: dict[str, list[int]] = {}
         self.trigram_postings: dict[str, list[int]] = {}
 
-    def add(self, entry: LabelEntry) -> None:
-        norm = normalize(entry.label)
-        if not norm:
-            return
+    def add(self, entry: LabelEntry, norm: str) -> None:
         indexed = _Indexed(
             uri=entry.uri,
             label=entry.label,
-            norm=norm,
-            tokens=tokens_of(entry.label),
-            trigrams=trigrams_of(entry.label),
+            tokens=frozenset(norm.split()),
+            trigrams=_trigrams(norm),
             weight=entry.weight,
         )
         position = len(self.entries)
@@ -149,11 +144,13 @@ class LabelIndex:
         """Normalised label strings of every indexed entry (both kinds)."""
         return frozenset(self._vocabulary)
 
-    def _add(self, entry: LabelEntry) -> None:
-        self._by_kind[entry.kind].add(entry)
+    def _add(self, entry: LabelEntry) -> str:
+        """Index ``entry`` unless its label normalises to nothing; return the normal form."""
         norm = normalize(entry.label)
         if norm:
+            self._by_kind[entry.kind].add(entry, norm)
             self._vocabulary.add(norm)
+        return norm
 
     def search(self, keyword: str, kind: Kind, k: int) -> CandidateList:
         """Top-k candidates of one kind for a keyword phrase.
@@ -165,8 +162,9 @@ class LabelIndex:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        query_tokens = tokens_of(keyword)
-        query_trigrams = trigrams_of(keyword)
+        norm = normalize(keyword)
+        query_tokens = frozenset(norm.split())
+        query_trigrams = _trigrams(norm)
         if not query_tokens:
             raise ValueError(f"keyword is empty after normalisation: {keyword!r}")
         sub = self._by_kind[kind]
@@ -267,8 +265,7 @@ def build_index(
             )
             if not known:
                 logger.warning("label entry uri %r not found in the graph", entry.uri)
-        index._add(entry)
-        by_norm.setdefault(normalize(entry.label), []).append(entry)
+        by_norm.setdefault(index._add(entry), []).append(entry)
 
     for label, variant in expansions:
         matched = by_norm.get(normalize(label))

@@ -9,6 +9,7 @@ relation identifiers resolve to exactly one place in the graph.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO, Union
@@ -21,6 +22,13 @@ from .errors import NodeNotFoundError, ParseError
 DISCONNECTED = -1
 
 DEFAULT_HOP_CAP = 4
+
+#: Hop-row byte for a node beyond the cap, so no cap may reach it.
+_BEYOND = 255
+MAX_HOP_CAP = _BEYOND - 1
+
+#: Most bytes that one oracle's cached hop rows may hold together.
+ROW_BUDGET_BYTES = 64 * 1024 * 1024
 
 
 class Kind(str, Enum):
@@ -205,68 +213,56 @@ def build_subdivision(kg: KnowledgeGraph) -> SubdivisionGraph:
 class HopOracle:
     """Answers bounded shortest-path (hop) queries on a subdivision graph.
 
-    Distances above ``cap`` are reported as :data:`DISCONNECTED`. Queries run
-    a bidirectional breadth-first search: each endpoint expands a cached ball
-    of at most ``ceil(cap/2)`` / ``floor(cap/2)`` levels and the answer is the
-    cheapest meeting point. Results are memoised per unordered node pair.
+    Distances above ``cap`` are reported as :data:`DISCONNECTED`. A query
+    reads the hop row of either endpoint: one byte per node, filled by a
+    breadth-first search of ``cap`` levels from the row's source, with
+    :data:`_BEYOND` past the cap. When neither row is cached, the first
+    endpoint's is built, so rows exist only for sources that were queried.
+    Cached rows hold at most :data:`ROW_BUDGET_BYTES` together; a new row
+    that would pass the budget evicts the oldest rows first.
 
-    The underlying graph is immutable and cache writes are idempotent, so
-    concurrent queries are safe and interleaving cannot change any answer.
+    A row is the exact answer for every pair at its source and the graph is
+    immutable, so no answer depends on which rows are cached, on query order
+    or on eviction, and concurrent queries are safe.
     """
 
     def __init__(self, graph: SubdivisionGraph, cap: int = DEFAULT_HOP_CAP) -> None:
-        if cap < 1:
-            raise ValueError("cap must be a positive integer")
+        if not 1 <= cap <= MAX_HOP_CAP:
+            raise ValueError(f"cap must be an integer in [1, {MAX_HOP_CAP}], got {cap!r}")
         self.graph = graph
         self.cap = cap
-        self._radius_a = (cap + 1) // 2
-        self._radius_b = cap // 2
-        self._pair_cache: dict[tuple[int, int], int] = {}
-        self._ball_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self._rows: OrderedDict[int, bytearray] = OrderedDict()
 
-    def _ball(self, node: int, radius: int) -> dict[int, int]:
-        """BFS distances from ``node`` up to ``radius`` levels."""
-        key = (node, radius)
-        cached = self._ball_cache.get(key)
-        if cached is not None:
-            return cached
-        dist = {node: 0}
-        frontier = [node]
-        for level in range(1, radius + 1):
+    def _row(self, source: int) -> bytearray:
+        """BFS hop levels from ``source``, cached within the byte budget."""
+        adjacency = self.graph.adjacency
+        row = bytearray([_BEYOND]) * len(adjacency)
+        row[source] = 0
+        frontier = [source]
+        for level in range(1, self.cap + 1):
             nxt: list[int] = []
             for u in frontier:
-                for v in self.graph.adjacency[u]:
-                    if v not in dist:
-                        dist[v] = level
+                for v in adjacency[u]:
+                    if row[v] == _BEYOND:
+                        row[v] = level
                         nxt.append(v)
-            if not nxt:
-                break
             frontier = nxt
-        self._ball_cache[key] = dist
-        return dist
+        fits = ROW_BUDGET_BYTES // len(row)
+        while self._rows and len(self._rows) >= fits:
+            self._rows.popitem(last=False)
+        if fits:
+            self._rows[source] = row
+        return row
 
     def distance_by_id(self, a: int, b: int) -> int:
         """Hop count between two node ids, or DISCONNECTED beyond the cap."""
-        if a == b:
-            return 0
-        key = (a, b) if a <= b else (b, a)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        ball_a = self._ball(a, self._radius_a)
-        ball_b = self._ball(b, self._radius_b)
-        if len(ball_a) > len(ball_b):
-            ball_a, ball_b = ball_b, ball_a
-        best = DISCONNECTED
-        for node, da in ball_a.items():
-            db = ball_b.get(node)
-            if db is None:
-                continue
-            total = da + db
-            if best == DISCONNECTED or total < best:
-                best = total
-        self._pair_cache[key] = best
-        return best
+        row = self._rows.get(a)
+        if row is not None:
+            level = row[b]
+        else:
+            row = self._rows.get(b)
+            level = row[a] if row is not None else self._row(a)[b]
+        return DISCONNECTED if level == _BEYOND else level
 
     def distance(
         self,

@@ -136,6 +136,8 @@ class RerankModel(LogisticModel):
     def _extra_args(payload: dict) -> tuple:
         means = np.asarray(payload["scaling"]["means"], dtype=np.float64)
         stds = np.asarray(payload["scaling"]["stds"], dtype=np.float64)
+        if not (np.isfinite(stds) & (stds > 0)).all():
+            raise ValueError(f"scaling stds must be finite and > 0: {stds.tolist()}")
         return means, stds, tuple(payload["feature_names"])
 
 

@@ -311,7 +311,8 @@ class TestExitCodes:
             ('[{"id": "1", "text": "founder of Tesla", '
              '"spans": [{"phrase": "___", "kind": "R", "uri": "dbo:founder"}]}]', None,
              "item 0: span phrase '___' normalises to nothing"),
-            ("[]", '{"k": "30"}', "config key 'k' must be int, got '30'"),
+            ("[]", '{"k": "30"}', "config.json is malformed: config key 'k' must be int, got '30'"),
+            ("[]", '{"hop_cap": 255}', "config.json is malformed: hop_cap must be in [2, 254]"),
             (b'\xff\xfe[{"id": 1}]', None, "dataset.json is malformed"),
             ("[]", b'\xff\xfe{"k": 3}', "config.json is malformed"),
         ],
@@ -322,6 +323,7 @@ class TestExitCodes:
             "span_kind_q",
             "span_phrase_empty",
             "config_k_string",
+            "config_hop_cap_255",
             "dataset_not_utf8",
             "config_not_utf8",
         ],
@@ -351,6 +353,7 @@ class TestExitCodes:
             ("er_model.json", _with_key("weights", [1.0])),
             ("rerank_model.json", _with_key("weights", [1.0])),
             ("rerank_model.json", _with_key("scaling", {"means": [0.0], "stds": [1.0]})),
+            ("rerank_model.json", _with_key("scaling", {"means": [0, 0, 0], "stds": [0, 0, 0]})),
         ],
         ids=[
             "manifest",
@@ -360,6 +363,7 @@ class TestExitCodes:
             "er_model_short_weights",
             "rerank_model_short_weights",
             "rerank_model_short_scaling",
+            "rerank_model_zero_std",
         ],
     )
     def test_truncated_artifact_is_data_error(self, cli_setup, tmp_path, capsys, name, edit):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kglinker import kg
 from kglinker.errors import NodeNotFoundError, ParseError
 from kglinker.kg import (
     DISCONNECTED,
@@ -164,19 +165,11 @@ class TestHopOracleProperties:
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
     def test_matches_all_pairs_bfs(self, cap):
-        rng = random.Random(cap * 101)
-        graph = build_subdivision(make_graph(random_kg_lines(rng, 14, 30)))
-        oracle = HopOracle(graph, cap=cap)
-        table = all_pairs_bfs(graph.adjacency)
-        for a in range(len(graph)):
-            for b in range(len(graph)):
-                expected = table[a][b]
-                if expected == -1 or expected > cap:
-                    expected = DISCONNECTED
-                assert oracle.distance_by_id(a, b) == expected
-        ids = list(range(len(graph)))
-        block = hop_block(HopOracle(graph, cap=cap), ids[::2], ids[::-3])
-        assert block.tolist() == [[oracle.distance_by_id(a, b) for b in ids[::-3]] for a in ids[::2]]
+        check_matches_all_pairs_bfs(cap)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+    def test_matches_all_pairs_bfs_evicting(self, cap, monkeypatch):
+        check_matches_all_pairs_bfs(cap, lambda graph: limit_rows(monkeypatch, graph, 2))
 
     def test_hop_block_none_and_empty(self):
         class Counting:
@@ -195,12 +188,62 @@ class TestHopOracleProperties:
         assert oracle.calls == 2
 
     def test_cache_transparency(self):
-        rng = random.Random(3)
-        graph = build_subdivision(make_graph(random_kg_lines(rng, 12, 24)))
-        cold = HopOracle(graph)
-        warm = HopOracle(graph)
-        pairs = [(a, b) for a in range(len(graph)) for b in range(len(graph))]
-        warm_first = {pair: warm.distance_by_id(*pair) for pair in pairs}
-        warm_second = {pair: warm.distance_by_id(*pair) for pair in pairs}
-        cold_answers = {pair: cold.distance_by_id(*pair) for pair in pairs}
-        assert warm_first == warm_second == cold_answers
+        check_cache_transparency()
+
+    def test_cache_transparency_evicting(self, monkeypatch):
+        check_cache_transparency(lambda graph: limit_rows(monkeypatch, graph, 3))
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_rows_stay_within_budget(self, rows, monkeypatch):
+        graph = build_subdivision(make_graph(random_kg_lines(random.Random(5), 16, 32)))
+        limit_rows(monkeypatch, graph, rows)
+        oracle = HopOracle(graph)
+        table = all_pairs_bfs(graph.adjacency)
+        for a in range(len(graph)):
+            for b in range(len(graph)):
+                expected = table[a][b] if 0 <= table[a][b] <= oracle.cap else DISCONNECTED
+                assert oracle.distance_by_id(a, b) == expected
+                assert sum(map(len, oracle._rows.values())) <= kg.ROW_BUDGET_BYTES
+        assert len(oracle._rows) == rows
+
+    @pytest.mark.parametrize("cap", [0, 255])
+    def test_cap_outside_row_range_is_refused(self, cap):
+        with pytest.raises(ValueError, match="cap must be"):
+            HopOracle(build_subdivision(make_graph(["A\tp\tB"])), cap=cap)
+
+
+def limit_rows(monkeypatch, graph, rows):
+    """Shrink the oracle's row budget to ``rows`` rows of ``graph``."""
+    monkeypatch.setattr(kg, "ROW_BUDGET_BYTES", rows * len(graph))
+
+
+def check_matches_all_pairs_bfs(cap, prepare=lambda graph: None):
+    """Every pair, queried forward then in reverse, equals a plain BFS within ``cap``."""
+    rng = random.Random(cap * 101)
+    graph = build_subdivision(make_graph(random_kg_lines(rng, 14, 30)))
+    prepare(graph)
+    oracle = HopOracle(graph, cap=cap)
+    table = all_pairs_bfs(graph.adjacency)
+    pairs = [(a, b) for a in range(len(graph)) for b in range(len(graph))]
+    for a, b in pairs + pairs[::-1]:
+        expected = table[a][b]
+        if expected == -1 or expected > cap:
+            expected = DISCONNECTED
+        assert oracle.distance_by_id(a, b) == expected
+    ids = list(range(len(graph)))
+    block = hop_block(HopOracle(graph, cap=cap), ids[::2], ids[::-3])
+    assert block.tolist() == [[oracle.distance_by_id(a, b) for b in ids[::-3]] for a in ids[::2]]
+
+
+def check_cache_transparency(prepare=lambda graph: None):
+    """A warm oracle, asked again or in reverse order, answers as a cold one does."""
+    rng = random.Random(3)
+    graph = build_subdivision(make_graph(random_kg_lines(rng, 12, 24)))
+    prepare(graph)
+    cold = HopOracle(graph)
+    warm = HopOracle(graph)
+    pairs = [(a, b) for a in range(len(graph)) for b in range(len(graph))]
+    warm_first = {pair: warm.distance_by_id(*pair) for pair in pairs}
+    warm_second = {pair: warm.distance_by_id(*pair) for pair in pairs[::-1]}
+    cold_answers = {pair: cold.distance_by_id(*pair) for pair in pairs[::-1]}
+    assert warm_first == warm_second == cold_answers
