@@ -9,44 +9,36 @@ never degrades and makes a second pass a no-op.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .pipeline import LinkingResult, Pipeline
-
 DEFAULT_THRESHOLD = 0.01
 
 
-def adapt(result: "LinkingResult", threshold: float, pipeline: "Pipeline") -> "LinkingResult":
-    """Re-link each keyword below ``threshold`` once with the opposite kind.
+def adapt(result, state, threshold: float, pipeline):
+    """Re-link each keyword of ``result`` below ``threshold`` once with the opposite kind.
 
-    A threshold of 0 retries nothing. Only operates on results that carry
-    per-candidate probabilities; anything else (route-based strategies,
-    degraded single-keyword results) is returned unchanged with a note.
+    ``state`` is the ``LinkState`` that ``pipeline`` linked ``result`` from:
+    its lists are retried in place, a retry is retrieved as ``link``
+    retrieves (gold injection included), and a kept flip puts its list into
+    ``state`` and its retrieval notes into the diagnostics. A threshold of 0
+    retries nothing. A result of fewer than two blocks carries no
+    per-candidate probabilities and is returned unchanged with a note.
     """
-    from .pipeline import candidate_list_of  # local import to avoid a cycle
-
     blocks = result.blocks
-    if len(blocks) < 2 or any(b.probabilities_missing() for b in blocks):
+    if len(blocks) < 2:
         result.diagnostics.setdefault("notes", []).append(
             "adaptation skipped: no per-candidate probabilities"
         )
         return result
 
     flips = result.diagnostics.setdefault("flips", [])
-    lists = [candidate_list_of(block) for block in blocks]
     for i in range(len(blocks)):
         old_max = blocks[i].max_probability()
         if old_max >= threshold:
             continue
         flipped_kind = blocks[i].kind.flipped()
-        trial_lists = list(lists)
-        trial_lists[i] = pipeline.retrieve(blocks[i].keyword, flipped_kind)
-        trial_blocks = pipeline.rescore(
-            trial_lists,
-            kinds=[b.kind for b in blocks[:i]] + [flipped_kind] + [b.kind for b in blocks[i + 1 :]],
-            confidences=[b.er_confidence for b in blocks],
-        )
+        trial_lists = list(state.lists)
+        notes: dict = {}
+        trial_lists[i] = pipeline.retrieve_for(state.question, blocks[i].keyword, flipped_kind, notes)
+        trial_blocks = pipeline.rescore(trial_lists, state.confidences)
         new_max = trial_blocks[i].max_probability()
         kept = new_max > old_max
         flips.append(
@@ -61,7 +53,9 @@ def adapt(result: "LinkingResult", threshold: float, pipeline: "Pipeline") -> "L
         )
         if not kept:
             continue
-        lists = trial_lists
+        state.lists = trial_lists
+        for key, values in notes.items():
+            result.diagnostics.setdefault(key, []).extend(values)
         # Every keyword keeps its better version, so an accepted flip
         # can only improve the other blocks it rescored.
         for j, trial in enumerate(trial_blocks):

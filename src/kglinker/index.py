@@ -32,10 +32,6 @@ def normalize(text: str) -> str:
     return _NON_WORD.sub(" ", text.lower()).strip()
 
 
-def tokens_of(text: str) -> frozenset[str]:
-    return frozenset(normalize(text).split())
-
-
 def trigrams_of(text: str) -> frozenset[str]:
     """Character trigrams of the normalised string; short strings gram to themselves."""
     return _trigrams(normalize(text))
@@ -144,13 +140,12 @@ class LabelIndex:
         """Normalised label strings of every indexed entry (both kinds)."""
         return frozenset(self._vocabulary)
 
-    def _add(self, entry: LabelEntry) -> str:
-        """Index ``entry`` unless its label normalises to nothing; return the normal form."""
+    def _add(self, entry: LabelEntry) -> None:
+        """Index ``entry`` unless its label normalises to nothing."""
         norm = normalize(entry.label)
         if norm:
             self._by_kind[entry.kind].add(entry, norm)
             self._vocabulary.add(norm)
-        return norm
 
     def search(self, keyword: str, kind: Kind, k: int) -> CandidateList:
         """Top-k candidates of one kind for a keyword phrase.
@@ -241,6 +236,26 @@ class LabelIndex:
         return index
 
 
+def with_expansions(
+    entries: Iterable[LabelEntry], expansions: Iterable[tuple[str, str]]
+) -> list[LabelEntry]:
+    """``entries``, then the label variants that ``expansions`` add.
+
+    Every expansion (label, variant), in order, adds one entry under the
+    variant for each entry whose label normalises as ``label`` does, with
+    that entry's uri, kind and weight.
+    """
+    entries = list(entries)
+    by_norm: dict[str, list[LabelEntry]] = {}
+    for entry in entries:
+        by_norm.setdefault(normalize(entry.label), []).append(entry)
+    return entries + [
+        LabelEntry(uri=entry.uri, label=variant, kind=entry.kind, weight=entry.weight)
+        for label, variant in expansions
+        for entry in by_norm.get(normalize(label), ())
+    ]
+
+
 def build_index(
     entries: Iterable[LabelEntry],
     expansions: Iterable[tuple[str, str]] = (),
@@ -248,16 +263,13 @@ def build_index(
 ) -> LabelIndex:
     """Build the index from base entries plus label-variant expansions.
 
-    Every expansion (label, variant) whose label matches an entry adds a
-    synthetic entry with the same uri, kind and weight under the variant.
-    When a graph is supplied, entries whose uri it does not contain are
-    indexed anyway but logged as warnings.
+    The indexed entries are ``with_expansions(entries, expansions)``. When a
+    graph is supplied, entries whose uri it does not contain are indexed
+    anyway but logged as warnings.
     """
-    index = LabelIndex()
-    entry_list = list(entries)
-    by_norm: dict[str, list[LabelEntry]] = {}
-    for entry in entry_list:
-        if kg is not None:
+    entries = list(entries)
+    if kg is not None:
+        for entry in entries:
             known = (
                 entry.uri in kg.vertices
                 if entry.kind is Kind.ENTITY
@@ -265,16 +277,9 @@ def build_index(
             )
             if not known:
                 logger.warning("label entry uri %r not found in the graph", entry.uri)
-        by_norm.setdefault(index._add(entry), []).append(entry)
-
-    for label, variant in expansions:
-        matched = by_norm.get(normalize(label))
-        if not matched:
-            continue
-        for entry in matched:
-            index._add(
-                LabelEntry(uri=entry.uri, label=variant, kind=entry.kind, weight=entry.weight)
-            )
+    index = LabelIndex()
+    for entry in with_expansions(entries, expansions):
+        index._add(entry)
     return index
 
 

@@ -19,15 +19,17 @@ from . import gtsp
 from .adaptive import adapt
 from .config import PipelineConfig
 from .density import compute_features
-from .errors import DataError, InstanceError, ManifestError, TooLargeError, read_json
+from .errors import DataError, ManifestError, TooLargeError, read_json
 from .index import (
     Candidate,
     CandidateList,
+    LabelEntry,
     LabelIndex,
     build_index,
     normalize,
     read_expansions,
     read_label_entries,
+    with_expansions,
 )
 from .kg import HopOracle, Kind, KnowledgeGraph, build_subdivision, load_graph
 from .reranker import (
@@ -104,14 +106,14 @@ class KeywordBlock:
     def of(
         cls,
         clist: CandidateList,
-        kind: Kind,
         confidence: float,
         scored: list[tuple[Candidate, float | None]],
     ) -> "KeywordBlock":
-        """The block of ``clist``'s keyword holding ``scored`` (candidate, probability) pairs."""
+        """The block of ``clist``'s keyword and kind holding ``scored``
+        (candidate, probability) pairs."""
         return cls(
             keyword=clist.keyword,
-            kind=kind,
+            kind=clist.kind_queried,
             er_confidence=confidence,
             candidates=[RankedCandidate.of(c, p) for c, p in scored],
         )
@@ -119,9 +121,6 @@ class KeywordBlock:
     def max_probability(self) -> float:
         probs = [c.probability for c in self.candidates if c.probability is not None]
         return max(probs) if probs else 0.0
-
-    def probabilities_missing(self) -> bool:
-        return any(c.probability is None for c in self.candidates)
 
     def top_uri(self) -> str | None:
         return self.candidates[0].uri if self.candidates else None
@@ -158,23 +157,24 @@ class LinkingResult:
         return json.dumps(self.to_dict(include_timings), sort_keys=True)
 
 
-def candidate_list_of(block: KeywordBlock) -> CandidateList:
-    """Rebuild the retrieval-ordered candidate list behind a block."""
-    ordered = sorted(block.candidates, key=lambda c: c.initial_rank)
-    return CandidateList(
-        keyword=block.keyword,
-        kind_queried=block.kind,
-        candidates=[
-            Candidate(
-                uri=c.uri,
-                matched_label=c.label,
-                text_score=c.text_score,
-                initial_rank=c.initial_rank,
-                kind=c.kind,
-            )
-            for c in ordered
-        ],
-    )
+@dataclass
+class LinkState:
+    """What one ``link`` built for its question, read again instead of rebuilt.
+
+    ``lists`` holds the retrieved list of every keyword in block order;
+    adaptive retry puts the list of a flip it keeps in its place.
+    ``confidences`` holds the E/R confidences. On the route strategies,
+    ``instance`` is the GTSP instance that was solved and ``exact`` or
+    ``approx`` the route each solver found on it. The state is not kept on
+    the ``LinkingResult``: a route instance outweighs the result many times.
+    """
+
+    question: Question
+    lists: list[CandidateList]
+    confidences: list[float]
+    instance: gtsp.GtspInstance | None = None
+    exact: gtsp.Assignment | None = None
+    approx: gtsp.Assignment | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +227,16 @@ def _require(path_value: str | None, what: str) -> str:
     return path_value
 
 
-def read_er_examples(config: PipelineConfig) -> tuple[list, list, list]:
-    """(phrase, kind) examples plus per-kind vocabularies from the label files."""
+def _read_labels(config: PipelineConfig) -> tuple[list[LabelEntry], list[tuple[str, str]]]:
+    """The label entries and the expansions the config names."""
     entries = read_label_entries(_require(config.labels, "labels"))
     expansions = read_expansions(config.expansions) if config.expansions else []
-    by_norm: dict[str, list] = {}
-    examples = []
-    for entry in entries:
-        examples.append((entry.label, entry.kind))
-        by_norm.setdefault(normalize(entry.label), []).append(entry)
-    for label, variant in expansions:
-        for entry in by_norm.get(normalize(label), []):
-            examples.append((variant, entry.kind))
+    return entries, expansions
+
+
+def read_er_examples(config: PipelineConfig) -> tuple[list, list, list]:
+    """(phrase, kind) examples plus per-kind vocabularies from the label files."""
+    examples = [(entry.label, entry.kind) for entry in with_expansions(*_read_labels(config))]
     entity_vocab = [p for p, k in examples if k is Kind.ENTITY]
     relation_vocab = [p for p, k in examples if k is Kind.RELATION]
     return examples, entity_vocab, relation_vocab
@@ -249,9 +247,7 @@ def build_index_artifact(config: PipelineConfig, kg: KnowledgeGraph | None = Non
     write_or_check_manifest(directory, config)
     if kg is None and config.triples:
         kg = load_graph(config.triples)
-    entries = read_label_entries(_require(config.labels, "labels"))
-    expansions = read_expansions(config.expansions) if config.expansions else []
-    index = build_index(entries, expansions, kg)
+    index = build_index(*_read_labels(config), kg)
     index.save(str(Path(directory) / INDEX_NAME))
     return index
 
@@ -350,51 +346,29 @@ class Pipeline:
     def retrieve(self, keyword: str, kind: Kind) -> CandidateList:
         return self.index.search(keyword, kind, self.config.k)
 
-    def _inject_gold(self, clist: CandidateList, question: Question) -> tuple[CandidateList, bool]:
-        """Append the annotated uri at the lowest rank when retrieval missed it."""
-        if not question.gold_spans:
-            return clist, False
-        keyword_norm = normalize(clist.keyword)
-        span = next(
-            (s for s in question.gold_spans if normalize(s.phrase) == keyword_norm),
-            None,
-        )
-        if span is None or span.kind is not clist.kind_queried:
-            return clist, False
-        if span.uri in (c.uri for c in clist.candidates):
-            return clist, False
-        injected = Candidate(
-            uri=span.uri,
-            matched_label=span.phrase,
-            text_score=0.0,
-            initial_rank=len(clist.candidates) + 1,
-            kind=span.kind,
-        )
-        return (
-            CandidateList(
-                keyword=clist.keyword,
-                kind_queried=clist.kind_queried,
-                candidates=clist.candidates + [injected],
-            ),
-            True,
-        )
+    def retrieve_for(
+        self, question: Question, keyword: str, kind: Kind, diagnostics: dict
+    ) -> CandidateList:
+        """The candidate list of one keyword of ``question``; notes go into ``diagnostics``.
 
-    def _retrieve_all(
-        self, question: Question, queries: list[tuple[str, Kind]], diagnostics: dict
-    ) -> list[CandidateList]:
-        """One candidate list per (keyword, kind) query, with the gold
-        appended when gold injection is on; notes go into ``diagnostics``."""
-        lists = []
-        for keyword, kind in queries:
-            clist = self.retrieve(keyword, kind)
-            if self.config.gold_injection:
-                clist, injected = self._inject_gold(clist, question)
-                if injected:
-                    diagnostics.setdefault("injected_gold", []).append(keyword)
-            if not clist.candidates:
-                diagnostics.setdefault("notes", []).append(f"no candidates for keyword {keyword!r}")
-            lists.append(clist)
-        return lists
+        With gold injection on, when the first gold span of the keyword's
+        phrase has the keyword's kind and retrieval missed its uri, that uri
+        is appended at the lowest rank.
+        """
+        clist = self.retrieve(keyword, kind)
+        if self.config.gold_injection:
+            keyword_norm = normalize(keyword)
+            span = next(
+                (s for s in question.gold_spans or () if normalize(s.phrase) == keyword_norm),
+                None,
+            )
+            if span is not None and span.kind is kind and span.uri not in clist.uris():
+                rank = len(clist.candidates) + 1
+                clist.candidates.append(Candidate(span.uri, span.phrase, 0.0, rank, kind))
+                diagnostics.setdefault("injected_gold", []).append(keyword)
+        if not clist.candidates:
+            diagnostics.setdefault("notes", []).append(f"no candidates for keyword {keyword!r}")
+        return clist
 
     def _should_flip(self, question_id: str, keyword: str) -> bool:
         fraction = self.config.er_flip_fraction
@@ -405,45 +379,31 @@ class Pipeline:
 
     # -- scoring ------------------------------------------------------------
 
-    def rescore(
-        self,
-        lists: list[CandidateList],
-        kinds: list[Kind],
-        confidences: list[float],
-    ) -> list[KeywordBlock]:
+    def rescore(self, lists: list[CandidateList], confidences: list[float]) -> list[KeywordBlock]:
         """Connectivity features plus probability re-ranking over all lists."""
         if self.rerank_model is None:
             raise DataError("no re-ranking model loaded")
         features = compute_features(lists, self.oracle)
         ranked = rerank(self.rerank_model, lists, features)
-        return [KeywordBlock.of(*block) for block in zip(lists, kinds, confidences, ranked)]
+        return [KeywordBlock.of(*block) for block in zip(lists, confidences, ranked)]
 
     def _fallback_blocks(
-        self,
-        lists: list[CandidateList],
-        kinds: list[Kind],
-        confidences: list[float],
-        keep: int | None,
+        self, lists: list[CandidateList], confidences: list[float], keep: int | None
     ) -> list[KeywordBlock]:
         """Retrieval-rank ordering, the first ``keep`` candidates of each list
         (all when None), when joint disambiguation is not possible."""
         scored = [[(c, None) for c in clist.candidates[:keep]] for clist in lists]
-        return [KeywordBlock.of(*block) for block in zip(lists, kinds, confidences, scored)]
+        return [KeywordBlock.of(*block) for block in zip(lists, confidences, scored)]
 
-    def _route_blocks(
-        self,
-        lists: list[CandidateList],
-        kinds: list[Kind],
-        confidences: list[float],
-        diagnostics: dict,
-    ) -> list[KeywordBlock]:
-        """Single choice per keyword through the route-based solvers.
+    def _route_blocks(self, state: LinkState, diagnostics: dict) -> list[KeywordBlock]:
+        """Single choice per keyword through the route-based solvers; the
+        instance and the route go into ``state``.
 
         A list whose candidates are all off the graph is linked as an empty
         list, with its uris reported as dropped.
         """
         graph = self.oracle.graph
-        lists = list(lists)
+        lists = list(state.lists)
         for i, clist in enumerate(lists):
             if clist.candidates and all(
                 graph.try_node_id(c.uri, c.kind) is None for c in clist.candidates
@@ -456,23 +416,23 @@ class Pipeline:
                 "joint disambiguation degenerate: fewer than 2 non-empty lists; "
                 "falling back to retrieval order"
             )
-            return self._fallback_blocks(lists, kinds, confidences, keep=1)
+            return self._fallback_blocks(lists, state.confidences, keep=1)
 
-        instance = gtsp.build_instance(
+        instance = state.instance = gtsp.build_instance(
             [lists[i] for i in populated], self.oracle, self.config.rank_weight
         )
         if instance.dropped:
             diagnostics.setdefault("dropped_candidates", []).extend(instance.dropped)
         if self.config.strategy == "exact":
             try:
-                assignment = gtsp.solve_exact(instance)
+                assignment = state.exact = gtsp.solve_exact(instance)
             except TooLargeError:
                 diagnostics.setdefault("notes", []).append(
                     "exact solver budget exceeded; using the approximate solver"
                 )
-                assignment = gtsp.solve_approx(instance, seed=self.config.seed)
+                assignment = state.approx = gtsp.solve_approx(instance, seed=self.config.seed)
         else:
-            assignment = gtsp.solve_approx(instance, seed=self.config.seed)
+            assignment = state.approx = gtsp.solve_approx(instance, seed=self.config.seed)
 
         scored: list[list[tuple[Candidate, None]]] = [[] for _ in lists]
         for cluster_id, list_index in enumerate(populated):
@@ -480,11 +440,15 @@ class Pipeline:
             source = next(c for c in lists[list_index].candidates if c.uri == node.uri)
             scored[list_index] = [(source, None)]
         diagnostics["route_cost"] = assignment.total_cost
-        return [KeywordBlock.of(*block) for block in zip(lists, kinds, confidences, scored)]
+        return [KeywordBlock.of(*block) for block in zip(lists, state.confidences, scored)]
 
     # -- linking ------------------------------------------------------------
 
     def link(self, question: Question) -> LinkingResult:
+        return self._link(question)[0]
+
+    def _link(self, question: Question) -> tuple[LinkingResult, LinkState]:
+        """The result of ``link`` and the state it was built from."""
         config = self.config
         if config.strategy == "density" and self.rerank_model is None:
             raise DataError("the density strategy needs a trained re-ranking model")
@@ -511,38 +475,40 @@ class Pipeline:
         if not keywords:
             result.diagnostics.setdefault("notes", []).append("no keywords spotted")
             result.timings_ms["total"] = (time.perf_counter() - t_total) * 1000.0
-            return result
+            return result, LinkState(question, [], [])
 
         t0 = time.perf_counter()
-        lists = self._retrieve_all(
-            question, [(keyword, kind) for keyword, kind, _ in predictions], result.diagnostics
+        state = LinkState(
+            question,
+            lists=[
+                self.retrieve_for(question, keyword, kind, result.diagnostics)
+                for keyword, kind, _ in predictions
+            ],
+            confidences=[confidence for _, _, confidence in predictions],
         )
         result.timings_ms["retrieve"] = (time.perf_counter() - t0) * 1000.0
 
-        kinds = [kind for _, kind, _ in predictions]
-        confidences = [confidence for _, _, confidence in predictions]
-
         t0 = time.perf_counter()
         if config.strategy == "density":
-            if len(lists) >= 2:
-                result.blocks = self.rescore(lists, kinds, confidences)
+            if len(state.lists) >= 2:
+                result.blocks = self.rescore(state.lists, state.confidences)
             else:
                 result.diagnostics.setdefault("notes", []).append(
                     "joint disambiguation degenerate: single keyword; "
                     "falling back to retrieval order"
                 )
-                result.blocks = self._fallback_blocks(lists, kinds, confidences, keep=None)
+                result.blocks = self._fallback_blocks(state.lists, state.confidences, keep=None)
         else:
-            result.blocks = self._route_blocks(lists, kinds, confidences, result.diagnostics)
+            result.blocks = self._route_blocks(state, result.diagnostics)
         result.timings_ms["disambiguate"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
         if config.strategy == "density" and config.adaptive_threshold > 0:
-            result = adapt(result, config.adaptive_threshold, self)
+            result = adapt(result, state, config.adaptive_threshold, self)
         result.timings_ms["adapt"] = (time.perf_counter() - t0) * 1000.0
 
         result.timings_ms["total"] = (time.perf_counter() - t_total) * 1000.0
-        return result
+        return result, state
 
     # -- training data ------------------------------------------------------
 
@@ -552,9 +518,10 @@ class Pipeline:
         for question in questions:
             if not question.gold_spans or len(question.gold_spans) < 2:
                 continue
-            lists = self._retrieve_all(
-                question, [(span.phrase, span.kind) for span in question.gold_spans], {}
-            )
+            lists = [
+                self.retrieve_for(question, span.phrase, span.kind, {})
+                for span in question.gold_spans
+            ]
             features = compute_features(lists, self.oracle)
             for span, feats in zip(question.gold_spans, features):
                 for f in feats:
@@ -564,7 +531,11 @@ class Pipeline:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, questions: list[Question]) -> dict:
-        """Link every question and score rank-1 answers against the gold spans."""
+        """Link every question and score rank-1 answers against the gold spans.
+
+        On the route strategies the solver gap is measured on the instances
+        that linking built, running the solver that linking did not.
+        """
         if not questions:
             raise DataError("cannot evaluate an empty dataset")
         if any(not q.gold_spans for q in questions):
@@ -575,11 +546,13 @@ class Pipeline:
         ranked_groups: list[list[str]] = []
         golds: list[str | None] = []
         latencies = []
-        results = []
+        route_costs: list[tuple[float, float]] = []
         for question in questions:
-            result = self.link(question)
-            results.append(result)
+            result, state = self._link(question)
             latencies.append(result.timings_ms.get("total", 0.0))
+            costs = self._route_costs(state)
+            if costs is not None:
+                route_costs.append(costs)
             # The k-th span of a phrase is scored against the k-th block of it.
             blocks_by_phrase: dict[str, list[KeywordBlock]] = {}
             for b in result.blocks:
@@ -608,45 +581,23 @@ class Pipeline:
                 "relations": total[Kind.RELATION],
             },
             "mrr": mrr(ranked_groups, golds) if self.config.strategy == "density" else None,
-            "solver_gap": self._solver_gap(questions) if self.config.strategy != "density" else None,
+            "solver_gap": _solver_gap(route_costs) if self.config.strategy != "density" else None,
             "mean_latency_ms": sum(latencies) / len(latencies),
         }
         return metrics
 
-    def _solver_gap(self, questions: list[Question]) -> dict | None:
-        """Exact-versus-approximate route cost statistics over the dataset."""
-        gaps = []
-        exact_hits = 0
-        compared = 0
-        for question in questions:
-            if not question.gold_spans or len(question.gold_spans) < 2:
-                continue
-            lists = [self.retrieve(s.phrase, s.kind) for s in question.gold_spans]
-            lists = [l for l in lists if l.candidates]
-            if len(lists) < 2:
-                continue
-            try:
-                instance = gtsp.build_instance(lists, self.oracle, self.config.rank_weight)
-                exact = gtsp.solve_exact(instance)
-            except (InstanceError, TooLargeError):
-                continue
-            approx = gtsp.solve_approx(instance, seed=self.config.seed)
-            compared += 1
-            if exact.total_cost > 0:
-                gap = (approx.total_cost - exact.total_cost) / exact.total_cost
-            else:
-                gap = 0.0 if approx.total_cost == 0 else float("inf")
-            gaps.append(gap)
-            if abs(approx.total_cost - exact.total_cost) < 1e-9:
-                exact_hits += 1
-        if not compared:
+    def _route_costs(self, state: LinkState) -> tuple[float, float] | None:
+        """(exact, approximate) route cost on the instance ``link`` solved,
+        running the solver it did not; None without an instance or when the
+        exact solver refuses it."""
+        if state.instance is None:
             return None
-        return {
-            "instances": compared,
-            "mean_relative_gap": sum(gaps) / len(gaps),
-            "max_relative_gap": max(gaps),
-            "exact_match_rate": exact_hits / compared,
-        }
+        try:
+            exact = state.exact or gtsp.solve_exact(state.instance)
+        except TooLargeError:
+            return None
+        approx = state.approx or gtsp.solve_approx(state.instance, seed=self.config.seed)
+        return exact.total_cost, approx.total_cost
 
     def run_ablation(
         self,
@@ -671,3 +622,24 @@ class Pipeline:
             )
             report[name] = _group_mrr(model, ordered_groups)
         return report
+
+
+def _solver_gap(route_costs: list[tuple[float, float]]) -> dict | None:
+    """Exact-versus-approximate route cost statistics over (exact, approx) pairs."""
+    if not route_costs:
+        return None
+    gaps = []
+    exact_hits = 0
+    for exact, approx in route_costs:
+        if exact > 0:
+            gaps.append((approx - exact) / exact)
+        else:
+            gaps.append(0.0 if approx == 0 else float("inf"))
+        if abs(approx - exact) < 1e-9:
+            exact_hits += 1
+    return {
+        "instances": len(route_costs),
+        "mean_relative_gap": sum(gaps) / len(gaps),
+        "max_relative_gap": max(gaps),
+        "exact_match_rate": exact_hits / len(route_costs),
+    }

@@ -104,9 +104,9 @@ class TestAdaptiveFlow:
     def test_idempotent_second_pass(self, adaptive_setup):
         pipe = make_pipeline(adaptive_setup, flip_fraction=0.2, threshold=DEFAULT_THRESHOLD)
         for question in adaptive_setup["questions"][:40]:
-            result = pipe.link(question)
+            result, state = pipe._link(question)
             snapshot = [blk.to_dict() for blk in result.blocks]
-            again = adapt(result, pipe.config.adaptive_threshold, pipe)
+            again = adapt(result, state, pipe.config.adaptive_threshold, pipe)
             assert [blk.to_dict() for blk in again.blocks] == snapshot
 
     def test_max_probability_never_decreases(self, adaptive_setup):
