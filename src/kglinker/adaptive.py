@@ -12,13 +12,19 @@ from __future__ import annotations
 DEFAULT_THRESHOLD = 0.01
 
 
+def no_candidates_note(keyword: str) -> str:
+    """The diagnostics note of a keyword whose retrieval found nothing."""
+    return f"no candidates for keyword {keyword!r}"
+
+
 def adapt(result, state, threshold: float, pipeline):
     """Re-link each keyword of ``result`` below ``threshold`` once with the opposite kind.
 
     ``state`` is the ``LinkState`` that ``pipeline`` linked ``result`` from:
     its lists are retried in place, a retry is retrieved as ``link``
     retrieves (gold injection included), and a kept flip puts its list into
-    ``state`` and its retrieval notes into the diagnostics. A threshold of 0
+    ``state`` and its retrieval notes into the diagnostics, in place of one
+    first-pass "no candidates" note of its keyword. A threshold of 0
     retries nothing. A result of fewer than two blocks carries no
     per-candidate probabilities and is returned unchanged with a note.
     """
@@ -54,6 +60,12 @@ def adapt(result, state, threshold: float, pipeline):
         if not kept:
             continue
         state.lists = trial_lists
+        stale = no_candidates_note(blocks[i].keyword)
+        first_notes = result.diagnostics.get("notes", [])
+        if stale in first_notes:
+            first_notes.remove(stale)
+            if not first_notes:
+                del result.diagnostics["notes"]
         for key, values in notes.items():
             result.diagnostics.setdefault(key, []).extend(values)
         # Every keyword keeps its better version, so an accepted flip

@@ -4,6 +4,11 @@ The graph is loaded from a tab-separated triple file and kept immutable.
 Relations are made first-class by replacing every edge with a node: all
 occurrences of one predicate label collapse into a single relation node, so
 relation identifiers resolve to exactly one place in the graph.
+
+Hop distances are read from per-source BFS rows that :class:`HopOracle`
+caches within a byte budget; :func:`hop_block` reads a whole cached row with
+one numpy gather and asks the oracle pair by pair only for a source whose
+row is not cached.
 """
 
 from __future__ import annotations
@@ -224,6 +229,10 @@ class HopOracle:
     A row is the exact answer for every pair at its source and the graph is
     immutable, so no answer depends on which rows are cached, on query order
     or on eviction, and concurrent queries are safe.
+
+    ``pairs`` counts the node pairs answered, by :meth:`distance_by_id` and
+    by :func:`hop_block`'s row gathers alike; :meth:`cached_row` looks a row
+    up without building it.
     """
 
     def __init__(self, graph: SubdivisionGraph, cap: int = DEFAULT_HOP_CAP) -> None:
@@ -232,6 +241,7 @@ class HopOracle:
         self.graph = graph
         self.cap = cap
         self._rows: OrderedDict[int, bytearray] = OrderedDict()
+        self.pairs = 0
 
     def _row(self, source: int) -> bytearray:
         """BFS hop levels from ``source``, cached within the byte budget."""
@@ -254,8 +264,13 @@ class HopOracle:
             self._rows[source] = row
         return row
 
+    def cached_row(self, source: int) -> bytearray | None:
+        """The cached hop row of ``source``, or None; never builds one."""
+        return self._rows.get(source)
+
     def distance_by_id(self, a: int, b: int) -> int:
         """Hop count between two node ids, or DISCONNECTED beyond the cap."""
+        self.pairs += 1
         row = self._rows.get(a)
         if row is not None:
             level = row[b]
@@ -281,14 +296,31 @@ def hop_block(
 ) -> np.ndarray:
     """Hop counts from every node of ``ids_a`` (rows) to every node of ``ids_b``.
 
-    The one place pairwise distances are read from the oracle: each pair
-    costs one :meth:`HopOracle.distance_by_id` call, except that a ``None``
-    id (a candidate with no graph node) is DISCONNECTED from everything
-    without a query.
+    The one place pairwise distances are read from the oracle. A source
+    whose hop row is cached is answered by one gather of that row; any other
+    source is answered pair by pair through :meth:`HopOracle.distance_by_id`,
+    which reads the partner's row first and builds the source's row only
+    when neither is cached, so the rows built do not depend on this choice.
+    A ``None`` id (a candidate with no graph node) is DISCONNECTED from
+    everything without a query. Every answered pair adds to ``oracle.pairs``.
     """
-    distance = oracle.distance_by_id
-    rows = [
-        [DISCONNECTED if a is None or b is None else distance(a, b) for b in ids_b]
-        for a in ids_a
-    ]
-    return np.array(rows, dtype=np.int64).reshape(len(ids_a), len(ids_b))
+    valid = [j for j, b in enumerate(ids_b) if b is not None]
+    targets = [ids_b[j] for j in valid]
+    cols = np.array(targets, dtype=np.intp)
+    hops = np.full((len(ids_a), len(targets)), DISCONNECTED, dtype=np.int64)
+    for i, a in enumerate(ids_a):
+        if a is None:
+            continue
+        row = oracle.cached_row(a)
+        if row is None:
+            hops[i] = [oracle.distance_by_id(a, b) for b in targets]
+        else:
+            hops[i] = np.frombuffer(row, np.uint8)[cols]
+            oracle.pairs += len(targets)
+    # Gathered bytes are widened to int64 above, so _BEYOND maps to DISCONNECTED here.
+    hops[hops == _BEYOND] = DISCONNECTED
+    if len(targets) == len(ids_b):
+        return hops
+    block = np.full((len(ids_a), len(ids_b)), DISCONNECTED, dtype=np.int64)
+    block[:, valid] = hops
+    return block

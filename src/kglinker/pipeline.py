@@ -16,7 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import gtsp
-from .adaptive import adapt
+from .adaptive import adapt, no_candidates_note
 from .config import PipelineConfig
 from .density import compute_features
 from .errors import DataError, ManifestError, TooLargeError, read_json
@@ -367,7 +367,7 @@ class Pipeline:
                 clist.candidates.append(Candidate(span.uri, span.phrase, 0.0, rank, kind))
                 diagnostics.setdefault("injected_gold", []).append(keyword)
         if not clist.candidates:
-            diagnostics.setdefault("notes", []).append(f"no candidates for keyword {keyword!r}")
+            diagnostics.setdefault("notes", []).append(no_candidates_note(keyword))
         return clist
 
     def _should_flip(self, question_id: str, keyword: str) -> bool:

@@ -4,7 +4,10 @@ Everything here is deliberately naive and shares no code path with the
 package: plain BFS over adjacency built from scratch, full enumeration of
 clustered routes (cost only, or the whole tie-broken route key), a literal
 double-loop feature recount, a per-arc Noon-Bean reduction, and a bitmask
-dynamic program for exact asymmetric tours.
+dynamic program for exact asymmetric tours. The one exception is
+``per_pair_hop_block``, which asks a real oracle one pair at a time: it is
+the rule the package's row-gathering ``hop_block`` must keep, rows built
+included.
 """
 
 from __future__ import annotations
@@ -155,3 +158,12 @@ def naive_density(lists_of_nodes, hop_table, cap):
     c_features = [[value / n for value in row] for row in connect]
     h_features = [[value / n for value in row] for row in hops]
     return c_features, h_features
+
+
+def per_pair_hop_block(oracle, ids_a, ids_b) -> np.ndarray:
+    """Hop block by one ``oracle.distance_by_id`` call per pair; -1 at a None id."""
+    rows = [
+        [-1 if a is None or b is None else oracle.distance_by_id(a, b) for b in ids_b]
+        for a in ids_a
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(ids_a), len(ids_b))

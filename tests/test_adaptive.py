@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from kglinker.adaptive import DEFAULT_THRESHOLD, adapt
+from kglinker.adaptive import DEFAULT_THRESHOLD, adapt, no_candidates_note
 from kglinker.config import PipelineConfig
 from kglinker.pipeline import (
     Pipeline,
@@ -132,3 +132,18 @@ class TestAdaptiveFlow:
             if not flip["kept"]:
                 block = next(b for b in result.blocks if b.keyword == flip["keyword"])
                 assert block.kind.value == flip["old_kind"]
+
+    def test_kept_flip_drops_its_no_candidates_note(self, adaptive_setup):
+        before = make_pipeline(adaptive_setup, flip_fraction=0.5, threshold=0.0)
+        after = make_pipeline(adaptive_setup, flip_fraction=0.5, threshold=DEFAULT_THRESHOLD)
+        dropped = 0
+        for question in adaptive_setup["questions"][:60]:
+            first = before.link(question).diagnostics.get("notes", [])
+            result = after.link(question)
+            notes = result.diagnostics.get("notes")
+            assert notes != []
+            for block in result.blocks:
+                if block.candidates:
+                    assert no_candidates_note(block.keyword) not in (notes or [])
+            dropped += len(first) - len(notes or [])
+        assert dropped > 0

@@ -8,7 +8,6 @@ from kglinker.errors import InstanceError
 from kglinker.index import Candidate, CandidateList
 from kglinker.kg import HopOracle, Kind, build_subdivision, load_graph
 
-from helpers import CountingOracle
 from oracles import all_pairs_bfs, naive_density
 
 E = Kind.ENTITY
@@ -155,10 +154,10 @@ class TestFeatureProperties:
             for m in (2, 3):
                 vertices = [f"v{i}" for i in range(n_lists * m + 2)]
                 lines = [f"{vertices[i]}\tp\t{vertices[i+1]}" for i in range(len(vertices) - 1)]
-                oracle = CountingOracle(make_oracle(lines))
+                oracle = make_oracle(lines)
                 lists = [
                     clist(f"k{a}", [(vertices[(a * m + i) % len(vertices)], E) for i in range(m)])
                     for a in range(n_lists)
                 ]
                 compute_features(lists, oracle)
-                assert oracle.calls == n_lists * (n_lists - 1) // 2 * m * m
+                assert oracle.pairs == n_lists * (n_lists - 1) // 2 * m * m

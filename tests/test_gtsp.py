@@ -20,7 +20,6 @@ from kglinker.gtsp import (
 from kglinker.index import Candidate, CandidateList
 from kglinker.kg import DISCONNECTED, HopOracle, Kind, build_subdivision, load_graph
 
-from helpers import CountingOracle
 from oracles import enumerate_gtsp, enumerate_gtsp_argmin, held_karp_atsp, noon_bean_matrix
 
 E = Kind.ENTITY
@@ -129,12 +128,11 @@ class TestBuildInstance:
             clist("kc", E, ["B", "A"]),
         ]
         lists[1].candidates[1] = Candidate("p", "p", 0.5, 2, R)
-        counter = CountingOracle(oracle)
-        inst = build_instance(lists, counter, rank_weight=0.5)
+        inst = build_instance(lists, oracle, rank_weight=0.5)
         assert np.allclose(inst.cost, inst.cost.T)
         assert np.all(np.diag(inst.cost) == 0)
         # only cross-cluster pairs are queried; intra-cluster costs stay 0
-        assert counter.calls == 3 * 2 + 3 * 2 + 2 * 2
+        assert oracle.pairs == 3 * 2 + 3 * 2 + 2 * 2
         for u, nu in enumerate(inst.nodes):
             for v, nv in enumerate(inst.nodes):
                 if nu.cluster == nv.cluster:

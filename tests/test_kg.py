@@ -1,6 +1,7 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from kglinker import kg
@@ -18,7 +19,7 @@ from kglinker.index import read_expansions, read_label_entries
 from kglinker.reranker import read_feature_rows
 from kglinker.stopwords import load_stopwords
 
-from oracles import all_pairs_bfs
+from oracles import all_pairs_bfs, per_pair_hop_block
 
 TSV_READERS = (load_graph, read_label_entries, read_expansions, load_stopwords, read_feature_rows)
 
@@ -172,20 +173,45 @@ class TestHopOracleProperties:
         check_matches_all_pairs_bfs(cap, lambda graph: limit_rows(monkeypatch, graph, 2))
 
     def test_hop_block_none_and_empty(self):
-        class Counting:
-            calls = 0
-
-            def distance_by_id(self, a, b):
-                self.calls += 1
-                return 7
-
-        oracle = Counting()
+        oracle = HopOracle(build_subdivision(make_graph(["A\tp\tB"])))
         block = hop_block(oracle, [0, None], [None, 1, 2])
-        assert block.tolist() == [[DISCONNECTED, 7, 7], [DISCONNECTED] * 3]
-        assert oracle.calls == 2
+        assert block.tolist() == [[DISCONNECTED, 1, 2], [DISCONNECTED] * 3]
+        assert oracle.pairs == 2
         assert hop_block(oracle, [], [1, 2]).shape == (0, 2)
         assert hop_block(oracle, [1, 2], []).shape == (2, 0)
-        assert oracle.calls == 2
+        assert oracle.pairs == 2
+
+    @pytest.mark.parametrize("rows", [None, 0, 2, 3])
+    def test_hop_block_equals_per_pair_reference(self, rows, monkeypatch):
+        """Warm, cold and evicting oracles give the reference's blocks, pair
+        counts and sequence of rows built, beyond-cap pairs included."""
+        rng = random.Random(11)
+        graph = build_subdivision(make_graph(random_kg_lines(rng, 30, 24)))
+        if rows is not None:
+            limit_rows(monkeypatch, graph, rows)
+        built = []
+        build = HopOracle._row
+
+        def recorded_build(self, source):
+            built.append((self, source))
+            return build(self, source)
+
+        monkeypatch.setattr(HopOracle, "_row", recorded_build)
+        oracle, reference = HopOracle(graph, cap=2), HopOracle(graph, cap=2)
+        ids = [*rng.sample(range(len(graph)), 8), None]
+        shapes = [(0, 3), (3, 0), (1, 1), (4, 1), (1, 5), (5, 6)] * 8
+        values = set()
+        for size_a, size_b in shapes:
+            ids_a, ids_b = rng.choices(ids, k=size_a), rng.choices(ids, k=size_b)
+            block = hop_block(oracle, ids_a, ids_b)
+            assert block.dtype == np.int64
+            assert block.tolist() == per_pair_hop_block(reference, ids_a, ids_b).tolist()
+            values.update(block.flat)
+        # Beyond-cap pairs were asked, and none leaked the row's 255 byte.
+        assert DISCONNECTED in values and 255 not in values
+        assert oracle.pairs == reference.pairs
+        assert [s for o, s in built if o is oracle] == [s for o, s in built if o is reference]
+        assert list(oracle._rows) == list(reference._rows)
 
     def test_cache_transparency(self):
         check_cache_transparency()
