@@ -8,13 +8,16 @@ data error on that question's output line, links the rest, then exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import sys
 from dataclasses import fields
 
 from .config import PipelineConfig
 from .errors import KglinkerError
 from .pipeline import (
+    LATENCY_KEYS,
     Pipeline,
     build_index_artifact,
     train_er_artifact,
@@ -150,11 +153,11 @@ def _cmd_eval(args) -> int:
         print(json.dumps({"ablation_mrr": report}, sort_keys=True))
         return 0
     metrics = pipeline.evaluate(questions)
-    latency = metrics.pop("mean_latency_ms")
+    latency = {key: metrics.pop(key) for key in LATENCY_KEYS}
     if args.timings:
-        metrics["mean_latency_ms"] = latency
+        metrics.update(latency)
     else:
-        print(f"mean latency: {latency:.2f} ms/question", file=sys.stderr)
+        print(f"mean latency: {latency['mean_latency_ms']:.2f} ms/question", file=sys.stderr)
     print(json.dumps(metrics, sort_keys=True))
     return 0
 
@@ -227,14 +230,39 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_gen_synthetic)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--log-level",
+            choices=("debug", "info", "warning", "error", "critical"),
+            default="warning",
+            help="least severe log record written to stderr (default: warning)",
+        )
     return parser
+
+
+@contextlib.contextmanager
+def _stderr_logging(level: str):
+    """Write kglinker's log records at ``level`` or above to stderr, one bare
+    message per line, for the length of one command."""
+    logger = logging.getLogger("kglinker")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _stderr_logging(args.log_level):
+            return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (KglinkerError, OSError) as exc:

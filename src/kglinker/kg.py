@@ -8,7 +8,10 @@ relation identifiers resolve to exactly one place in the graph.
 Hop distances are read from per-source BFS rows that :class:`HopOracle`
 caches within a byte budget; :func:`hop_block` reads a whole cached row with
 one numpy gather and asks the oracle pair by pair only for a source whose
-row is not cached.
+row is not cached. A row's BFS stops at hub nodes (degree squared above the
+node count, such as an ``rdf:type`` predicate node) and reads every path
+through a hub from the hub's own row, so no row walks a hub's adjacency
+more than once while that hub's row stays cached.
 """
 
 from __future__ import annotations
@@ -230,9 +233,15 @@ class HopOracle:
     immutable, so no answer depends on which rows are cached, on query order
     or on eviction, and concurrent queries are safe.
 
+    A node is a hub when its degree squared exceeds the node count;
+    ``hubs`` holds them. A row's BFS does not expand a hub other than its
+    source and takes the paths through it from the hub's row, which is built
+    and cached like any other row; see :meth:`_row`.
+
     ``pairs`` counts the node pairs answered, by :meth:`distance_by_id` and
-    by :func:`hop_block`'s row gathers alike; :meth:`cached_row` looks a row
-    up without building it.
+    by :func:`hop_block`'s row gathers alike, and ``rows_built`` the rows
+    built, hub rows included; :meth:`cached_row` looks a row up without
+    building it.
     """
 
     def __init__(self, graph: SubdivisionGraph, cap: int = DEFAULT_HOP_CAP) -> None:
@@ -240,23 +249,49 @@ class HopOracle:
             raise ValueError(f"cap must be an integer in [1, {MAX_HOP_CAP}], got {cap!r}")
         self.graph = graph
         self.cap = cap
+        n = len(graph)
+        self.hubs = frozenset(v for v, adj in enumerate(graph.adjacency) if len(adj) ** 2 > n)
         self._rows: OrderedDict[int, bytearray] = OrderedDict()
         self.pairs = 0
+        self.rows_built = 0
 
     def _row(self, source: int) -> bytearray:
-        """BFS hop levels from ``source``, cached within the byte budget."""
+        """BFS hop levels from ``source``, cached within the byte budget.
+
+        The BFS from a non-hub source gives a hub its level but does not
+        expand it; each hub reached below the cap is then folded in as its
+        level plus the hub's own row (cached, or built here), which expands
+        everything, so hub rows never recurse. A hub reached at the cap adds
+        nothing within it. Exact: the first hub on a shortest path splits it
+        into a hub-free part, which the BFS finds, and a part the hub's row
+        holds; every value folded in is the length of a real walk.
+        """
         adjacency = self.graph.adjacency
+        stop = frozenset() if source in self.hubs else self.hubs
         row = bytearray([_BEYOND]) * len(adjacency)
         row[source] = 0
         frontier = [source]
+        through: list[tuple[int, int]] = []
         for level in range(1, self.cap + 1):
             nxt: list[int] = []
             for u in frontier:
                 for v in adjacency[u]:
                     if row[v] == _BEYOND:
                         row[v] = level
-                        nxt.append(v)
+                        if v not in stop:
+                            nxt.append(v)
+                        elif level < self.cap:
+                            through.append((v, level))
             frontier = nxt
+        if through:
+            # int16: a 255 byte plus a level would wrap in uint8.
+            levels = np.frombuffer(row, np.uint8).astype(np.int16)
+            for hub, level in through:
+                hub_row = self._rows.get(hub) or self._row(hub)
+                np.minimum(levels, np.frombuffer(hub_row, np.uint8) + np.int16(level), out=levels)
+            levels[levels > self.cap] = _BEYOND
+            row = bytearray(levels.astype(np.uint8))
+        self.rows_built += 1
         fits = ROW_BUDGET_BYTES // len(row)
         while self._rows and len(self._rows) >= fits:
             self._rows.popitem(last=False)

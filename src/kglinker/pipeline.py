@@ -9,6 +9,7 @@ shared state is immutable after loading.
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -57,6 +58,9 @@ MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "index.bin"
 ER_MODEL_NAME = "er_model.json"
 RERANK_MODEL_NAME = "rerank_model.json"
+
+#: The latency keys of :meth:`Pipeline.evaluate`'s metrics, in ms.
+LATENCY_KEYS = ("mean_latency_ms", "p50_latency_ms", "p95_latency_ms", "max_latency_ms")
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +538,9 @@ class Pipeline:
         """Link every question and score rank-1 answers against the gold spans.
 
         On the route strategies the solver gap is measured on the instances
-        that linking built, running the solver that linking did not.
+        that linking built, running the solver that linking did not. Latency
+        is the mean, the nearest-rank p50 and p95, and the maximum of the
+        per-question ``total`` timings, in ms.
         """
         if not questions:
             raise DataError("cannot evaluate an empty dataset")
@@ -583,6 +589,9 @@ class Pipeline:
             "mrr": mrr(ranked_groups, golds) if self.config.strategy == "density" else None,
             "solver_gap": _solver_gap(route_costs) if self.config.strategy != "density" else None,
             "mean_latency_ms": sum(latencies) / len(latencies),
+            "p50_latency_ms": _nearest_rank(latencies, 0.50),
+            "p95_latency_ms": _nearest_rank(latencies, 0.95),
+            "max_latency_ms": max(latencies),
         }
         return metrics
 
@@ -622,6 +631,13 @@ class Pipeline:
             )
             report[name] = _group_mrr(model, ordered_groups)
         return report
+
+
+def _nearest_rank(values: list[float], fraction: float) -> float:
+    """The nearest-rank percentile: the smallest value with at least
+    ``fraction`` of ``values`` at or below it."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
 def _solver_gap(route_costs: list[tuple[float, float]]) -> dict | None:

@@ -203,6 +203,18 @@ class TestEvalCommand:
         assert payload["entity_accuracy"] == 1.0
         assert "mean_latency_ms" not in payload
 
+    def test_timings_report_latency_percentiles(self, cli_setup, capsys):
+        dataset = cli_setup["world"] / "dataset.json"
+        argv = ["eval", "--config", cli_setup["config"], "--dataset", str(dataset), "--gold-spans"]
+        assert main(argv + ["--timings"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        mean, p50, p95, top = (
+            payload[f"{name}_latency_ms"] for name in ("mean", "p50", "p95", "max")
+        )
+        assert 0 < p50 <= p95 <= top and mean <= top
+        assert main(argv) == 0
+        assert not [key for key in json.loads(capsys.readouterr().out) if "latency" in key]
+
     def test_byte_identical_runs(self, cli_setup, capsys):
         argv = [
             "eval",
@@ -252,6 +264,39 @@ class TestEvalCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(payload["ablation_mrr"]) == {"initial_rank", "connectivity", "all"}
+
+
+class TestLogLevel:
+    QUESTION = "Where was the founder of Tesla and SpaceX born?"
+
+    @pytest.fixture(scope="class")
+    def ghost_config(self, cli_setup, tmp_path_factory):
+        """The mini world's config plus a label whose uri is not in the graph."""
+        tmp = tmp_path_factory.mktemp("ghost")
+        labels = tmp / "labels.tsv"
+        labels.write_text(
+            (cli_setup["world"] / "labels.tsv").read_text() + "dbr:Tesla_Ghost\tTesla\tE\t1.0\n"
+        )
+        config = json.loads((cli_setup["tmp"] / "config.json").read_text())
+        config.update(strategy="density", labels=str(labels), artifacts=str(tmp / "artifacts"))
+        path = tmp / "config.json"
+        path.write_text(json.dumps(config))
+        dataset = str(cli_setup["world"] / "dataset.json")
+        for argv in (["build-index"], ["train-er"], ["train-reranker", "--dataset", dataset]):
+            assert main([*argv, "--config", str(path), "--log-level", "error"]) == 0
+        return str(path)
+
+    def test_default_prints_off_graph_warning(self, ghost_config, capsys):
+        assert main(["link", "--config", ghost_config, "--question", self.QUESTION]) == 0
+        err = capsys.readouterr().err
+        assert "candidate uri 'dbr:Tesla_Ghost' not in the graph; treated as disconnected\n" in err
+
+    def test_error_level_silences_it(self, ghost_config, capsys):
+        argv = ["link", "--config", ghost_config, "--question", self.QUESTION]
+        assert main([*argv, "--log-level", "error"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["keywords"]
 
 
 def _with_key(key, value):

@@ -144,6 +144,19 @@ def random_kg_lines(rng, n_vertices, n_triples):
     return lines
 
 
+def hub_kg_lines(rng):
+    """``random_kg_lines`` with planted hubs: a ``type`` predicate linking most
+    vertices to two classes, as rdf:type does; ``v0``, a hub adjacent to
+    ``type`` through predicates of its own; and a chain whose far end ``x0``
+    is 5 hops from ``type``, so every cap from 1 to 5 first reaches a hub at
+    the cap from some source."""
+    lines = random_kg_lines(rng, 16, 14)
+    lines += [f"v{i}\ttype\tclass{i % 2}" for i in range(1, 16) if rng.random() < 0.8]
+    lines += ["v0\ttype\tclass0", *(f"v0\tq{i}\tw{i}" for i in range(6))]
+    lines += ["x0\tc0\tx1", "x1\tc1\tx2", "x2\ttype\tclass1"]
+    return lines
+
+
 class TestHopOracleProperties:
     def test_triple_level_invariants(self):
         rng = random.Random(11)
@@ -183,35 +196,7 @@ class TestHopOracleProperties:
 
     @pytest.mark.parametrize("rows", [None, 0, 2, 3])
     def test_hop_block_equals_per_pair_reference(self, rows, monkeypatch):
-        """Warm, cold and evicting oracles give the reference's blocks, pair
-        counts and sequence of rows built, beyond-cap pairs included."""
-        rng = random.Random(11)
-        graph = build_subdivision(make_graph(random_kg_lines(rng, 30, 24)))
-        if rows is not None:
-            limit_rows(monkeypatch, graph, rows)
-        built = []
-        build = HopOracle._row
-
-        def recorded_build(self, source):
-            built.append((self, source))
-            return build(self, source)
-
-        monkeypatch.setattr(HopOracle, "_row", recorded_build)
-        oracle, reference = HopOracle(graph, cap=2), HopOracle(graph, cap=2)
-        ids = [*rng.sample(range(len(graph)), 8), None]
-        shapes = [(0, 3), (3, 0), (1, 1), (4, 1), (1, 5), (5, 6)] * 8
-        values = set()
-        for size_a, size_b in shapes:
-            ids_a, ids_b = rng.choices(ids, k=size_a), rng.choices(ids, k=size_b)
-            block = hop_block(oracle, ids_a, ids_b)
-            assert block.dtype == np.int64
-            assert block.tolist() == per_pair_hop_block(reference, ids_a, ids_b).tolist()
-            values.update(block.flat)
-        # Beyond-cap pairs were asked, and none leaked the row's 255 byte.
-        assert DISCONNECTED in values and 255 not in values
-        assert oracle.pairs == reference.pairs
-        assert [s for o, s in built if o is oracle] == [s for o, s in built if o is reference]
-        assert list(oracle._rows) == list(reference._rows)
+        check_hop_block_equals_per_pair_reference(monkeypatch, rows)
 
     def test_cache_transparency(self):
         check_cache_transparency()
@@ -221,16 +206,7 @@ class TestHopOracleProperties:
 
     @pytest.mark.parametrize("rows", [0, 3])
     def test_rows_stay_within_budget(self, rows, monkeypatch):
-        graph = build_subdivision(make_graph(random_kg_lines(random.Random(5), 16, 32)))
-        limit_rows(monkeypatch, graph, rows)
-        oracle = HopOracle(graph)
-        table = all_pairs_bfs(graph.adjacency)
-        for a in range(len(graph)):
-            for b in range(len(graph)):
-                expected = table[a][b] if 0 <= table[a][b] <= oracle.cap else DISCONNECTED
-                assert oracle.distance_by_id(a, b) == expected
-                assert sum(map(len, oracle._rows.values())) <= kg.ROW_BUDGET_BYTES
-        assert len(oracle._rows) == rows
+        check_rows_stay_within_budget(monkeypatch, rows)
 
     @pytest.mark.parametrize("cap", [0, 255])
     def test_cap_outside_row_range_is_refused(self, cap):
@@ -238,15 +214,127 @@ class TestHopOracleProperties:
             HopOracle(build_subdivision(make_graph(["A\tp\tB"])), cap=cap)
 
 
+class TestHubRows:
+    """Rows that stop at hubs and fold in the hubs' rows answer as a plain BFS
+    does, on graphs with planted hubs, every node a source, and budgets that
+    keep every row or only the last 3, 2 or 1: a 1-row budget evicts the hub's
+    row when the source's own row is inserted."""
+
+    def test_hub_rule(self):
+        # p has degree 3 of 9 nodes (9 is not above 9); q has degree 4 (16 is).
+        graph = build_subdivision(make_graph(["a\tp\tb", "a\tp\tc", "d\tq\te", "f\tq\tg"]))
+        assert len(graph) == 9
+        assert {graph.names[h] for h in HopOracle(graph).hubs} == {"q"}
+
+    def test_planted_hubs(self):
+        graph = build_subdivision(make_graph(hub_kg_lines(random.Random(1))))
+        oracle = HopOracle(graph)
+        assert {graph.names[h] for h in oracle.hubs} == {"type", "v0"}
+        type_node = graph.node_id("type", Kind.RELATION)
+        assert graph.node_id("v0", Kind.ENTITY) in graph.neighbors(type_node)
+        table = all_pairs_bfs(graph.adjacency)
+        nearest = {
+            min((table[s][h] for h in oracle.hubs if table[s][h] >= 0), default=None)
+            for s in range(len(graph))
+            if s not in oracle.hubs
+        }
+        assert {1, 2, 3, 4, 5} <= nearest
+
+    @pytest.mark.parametrize("rows", [None, 3, 2, 1])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+    def test_matches_all_pairs_bfs(self, cap, rows, monkeypatch):
+        check_matches_all_pairs_bfs(cap, row_limit(monkeypatch, rows), hub_kg_lines)
+
+    @pytest.mark.parametrize("rows", [None, 3, 2, 1])
+    def test_cache_transparency(self, rows, monkeypatch):
+        check_cache_transparency(row_limit(monkeypatch, rows), hub_kg_lines)
+
+    @pytest.mark.parametrize("rows", [None, 3, 2, 1])
+    def test_rows_stay_within_budget(self, rows, monkeypatch):
+        check_rows_stay_within_budget(monkeypatch, rows, hub_kg_lines)
+
+    @pytest.mark.parametrize("rows", [None, 3, 2, 1])
+    def test_hop_block_equals_per_pair_reference(self, rows, monkeypatch):
+        check_hop_block_equals_per_pair_reference(monkeypatch, rows, hub_kg_lines)
+
+    def test_rows_built_counts_hub_rows(self):
+        chain = ["x0\tc0\tx1", "x1\tc1\tx2"]
+        plain = HopOracle(build_subdivision(make_graph(chain)))
+        assert not plain.hubs
+        assert plain.distance("x2", "x0") == 4 and plain.rows_built == 1
+        hubbed = HopOracle(build_subdivision(make_graph(hub_kg_lines(random.Random(1)))))
+        # x2's BFS stops at type and builds type's row to read the paths through it.
+        assert hubbed.distance("x2", "x0") == 4 and hubbed.rows_built == 2
+        assert hubbed.distance("type", "x1", Kind.RELATION) == 3 and hubbed.rows_built == 2
+
+
+def check_hop_block_equals_per_pair_reference(
+    monkeypatch, rows, lines=lambda rng: random_kg_lines(rng, 30, 24)
+):
+    """Warm, cold and evicting oracles give the reference's blocks, pair
+    counts and sequence of rows built, beyond-cap pairs included."""
+    rng = random.Random(11)
+    graph = build_subdivision(make_graph(lines(rng)))
+    if rows is not None:
+        limit_rows(monkeypatch, graph, rows)
+    built = []
+    build = HopOracle._row
+
+    def recorded_build(self, source):
+        built.append((self, source))
+        return build(self, source)
+
+    monkeypatch.setattr(HopOracle, "_row", recorded_build)
+    oracle, reference = HopOracle(graph, cap=2), HopOracle(graph, cap=2)
+    ids = [*rng.sample(range(len(graph)), 8), *sorted(oracle.hubs), None]
+    shapes = [(0, 3), (3, 0), (1, 1), (4, 1), (1, 5), (5, 6)] * 8
+    values = set()
+    for size_a, size_b in shapes:
+        ids_a, ids_b = rng.choices(ids, k=size_a), rng.choices(ids, k=size_b)
+        block = hop_block(oracle, ids_a, ids_b)
+        assert block.dtype == np.int64
+        assert block.tolist() == per_pair_hop_block(reference, ids_a, ids_b).tolist()
+        values.update(block.flat)
+    # Beyond-cap pairs were asked, and none leaked the row's 255 byte.
+    assert DISCONNECTED in values and 255 not in values
+    assert oracle.pairs == reference.pairs
+    assert [s for o, s in built if o is oracle] == [s for o, s in built if o is reference]
+    assert list(oracle._rows) == list(reference._rows)
+
+
+def check_rows_stay_within_budget(
+    monkeypatch, rows, lines=lambda rng: random_kg_lines(rng, 16, 32)
+):
+    graph = build_subdivision(make_graph(lines(random.Random(5))))
+    if rows is not None:
+        limit_rows(monkeypatch, graph, rows)
+    oracle = HopOracle(graph)
+    table = all_pairs_bfs(graph.adjacency)
+    for a in range(len(graph)):
+        for b in range(len(graph)):
+            expected = table[a][b] if 0 <= table[a][b] <= oracle.cap else DISCONNECTED
+            assert oracle.distance_by_id(a, b) == expected
+            assert sum(map(len, oracle._rows.values())) <= kg.ROW_BUDGET_BYTES
+    if rows is not None:
+        assert len(oracle._rows) == rows
+
+
 def limit_rows(monkeypatch, graph, rows):
     """Shrink the oracle's row budget to ``rows`` rows of ``graph``."""
     monkeypatch.setattr(kg, "ROW_BUDGET_BYTES", rows * len(graph))
 
 
-def check_matches_all_pairs_bfs(cap, prepare=lambda graph: None):
+def row_limit(monkeypatch, rows):
+    """A ``prepare`` hook for ``limit_rows``; None leaves the budget alone."""
+    return lambda graph: None if rows is None else limit_rows(monkeypatch, graph, rows)
+
+
+def check_matches_all_pairs_bfs(
+    cap, prepare=lambda graph: None, lines=lambda rng: random_kg_lines(rng, 14, 30)
+):
     """Every pair, queried forward then in reverse, equals a plain BFS within ``cap``."""
     rng = random.Random(cap * 101)
-    graph = build_subdivision(make_graph(random_kg_lines(rng, 14, 30)))
+    graph = build_subdivision(make_graph(lines(rng)))
     prepare(graph)
     oracle = HopOracle(graph, cap=cap)
     table = all_pairs_bfs(graph.adjacency)
@@ -261,10 +349,12 @@ def check_matches_all_pairs_bfs(cap, prepare=lambda graph: None):
     assert block.tolist() == [[oracle.distance_by_id(a, b) for b in ids[::-3]] for a in ids[::2]]
 
 
-def check_cache_transparency(prepare=lambda graph: None):
+def check_cache_transparency(
+    prepare=lambda graph: None, lines=lambda rng: random_kg_lines(rng, 12, 24)
+):
     """A warm oracle, asked again or in reverse order, answers as a cold one does."""
     rng = random.Random(3)
-    graph = build_subdivision(make_graph(random_kg_lines(rng, 12, 24)))
+    graph = build_subdivision(make_graph(lines(rng)))
     prepare(graph)
     cold = HopOracle(graph)
     warm = HopOracle(graph)
