@@ -8,7 +8,6 @@ data error on that question's output line, links the rest, then exits 2.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import sys
@@ -233,36 +232,27 @@ def build_parser() -> _Parser:
     for p in sub.choices.values():
         p.add_argument(
             "--log-level",
-            choices=("debug", "info", "warning", "error", "critical"),
+            choices=("warning", "error"),
             default="warning",
-            help="least severe log record written to stderr (default: warning)",
+            help="error hides the package's warnings, such as a uri not in the graph "
+            "(default: warning)",
         )
     return parser
-
-
-@contextlib.contextmanager
-def _stderr_logging(level: str):
-    """Write kglinker's log records at ``level`` or above to stderr, one bare
-    message per line, for the length of one command."""
-    logger = logging.getLogger("kglinker")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    previous = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(level.upper())
-    try:
-        yield
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(previous)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        with _stderr_logging(args.log_level):
+        # Only the level is set: records reach the handlers the calling
+        # program configured, or else stderr through logging's last resort.
+        logger = logging.getLogger("kglinker")
+        previous = logger.level
+        logger.setLevel(args.log_level.upper())
+        try:
             return args.func(args)
+        finally:
+            logger.setLevel(previous)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (KglinkerError, OSError) as exc:

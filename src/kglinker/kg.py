@@ -8,10 +8,10 @@ relation identifiers resolve to exactly one place in the graph.
 Hop distances are read from per-source BFS rows that :class:`HopOracle`
 caches within a byte budget; :func:`hop_block` reads a whole cached row with
 one numpy gather and asks the oracle pair by pair only for a source whose
-row is not cached. A row's BFS stops at hub nodes (degree squared above the
-node count, such as an ``rdf:type`` predicate node) and reads every path
-through a hub from the hub's own row, so no row walks a hub's adjacency
-more than once while that hub's row stays cached.
+row is not cached. A row's BFS stops at hub nodes (degree above four times
+the square root of the node count, such as an ``rdf:type`` predicate node)
+and reads every path through a hub from the hub's own row, so no row walks
+a hub's adjacency more than once while that hub's row stays cached.
 """
 
 from __future__ import annotations
@@ -233,10 +233,10 @@ class HopOracle:
     immutable, so no answer depends on which rows are cached, on query order
     or on eviction, and concurrent queries are safe.
 
-    A node is a hub when its degree squared exceeds the node count;
-    ``hubs`` holds them. A row's BFS does not expand a hub other than its
-    source and takes the paths through it from the hub's row, which is built
-    and cached like any other row; see :meth:`_row`.
+    A node is a hub when its degree exceeds four times the square root of
+    the node count; ``hubs`` holds them. A row's BFS does not expand a hub
+    other than its source and takes the paths through it from the hub's
+    row, which is built and cached like any other row; see :meth:`_row`.
 
     ``pairs`` counts the node pairs answered, by :meth:`distance_by_id` and
     by :func:`hop_block`'s row gathers alike, and ``rows_built`` the rows
@@ -250,7 +250,13 @@ class HopOracle:
         self.graph = graph
         self.cap = cap
         n = len(graph)
-        self.hubs = frozenset(v for v, adj in enumerate(graph.adjacency) if len(adj) ** 2 > n)
+        # Stopping at a hub trades a walk of its neighbourhood for numpy passes
+        # over all n nodes plus the hub's own row. On planted predicates that
+        # trade breaks even near 1.5 sqrt(n) at 3,663 nodes, 2 sqrt(n) at
+        # 30,202 and 4 sqrt(n) at 120,025, and wins above that at all three.
+        self.hubs = frozenset(
+            v for v, adj in enumerate(graph.adjacency) if len(adj) ** 2 > 16 * n
+        )
         self._rows: OrderedDict[int, bytearray] = OrderedDict()
         self.pairs = 0
         self.rows_built = 0
@@ -278,18 +284,20 @@ class HopOracle:
                 for v in adjacency[u]:
                     if row[v] == _BEYOND:
                         row[v] = level
-                        if v not in stop:
-                            nxt.append(v)
-                        elif level < self.cap:
-                            through.append((v, level))
+                        nxt.append(v)
+            if stop and level < self.cap:
+                for hub in stop.intersection(nxt):
+                    nxt.remove(hub)
+                    through.append((hub, level))
             frontier = nxt
         if through:
-            # int16: a 255 byte plus a level would wrap in uint8.
+            # Both operands int16: a 255 byte plus a level would wrap in uint8.
             levels = np.frombuffer(row, np.uint8).astype(np.int16)
             for hub, level in through:
                 hub_row = self._rows.get(hub) or self._row(hub)
-                np.minimum(levels, np.frombuffer(hub_row, np.uint8) + np.int16(level), out=levels)
-            levels[levels > self.cap] = _BEYOND
+                reach = np.frombuffer(hub_row, np.uint8).astype(np.int16)
+                np.minimum(levels, reach + level, out=levels)
+            np.copyto(levels, _BEYOND, where=levels > self.cap)
             row = bytearray(levels.astype(np.uint8))
         self.rows_built += 1
         fits = ROW_BUDGET_BYTES // len(row)

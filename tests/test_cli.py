@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -286,17 +287,31 @@ class TestLogLevel:
             assert main([*argv, "--config", str(path), "--log-level", "error"]) == 0
         return str(path)
 
-    def test_default_prints_off_graph_warning(self, ghost_config, capsys):
+    @pytest.fixture
+    def unconfigured(self, monkeypatch):
+        """Keep records from pytest's root handlers, as when no program
+        configured logging, so logging's last resort writes them to stderr."""
+        monkeypatch.setattr(logging.getLogger("kglinker"), "propagate", False)
+
+    def test_default_prints_off_graph_warning(self, ghost_config, unconfigured, capsys):
         assert main(["link", "--config", ghost_config, "--question", self.QUESTION]) == 0
         err = capsys.readouterr().err
         assert "candidate uri 'dbr:Tesla_Ghost' not in the graph; treated as disconnected\n" in err
 
-    def test_error_level_silences_it(self, ghost_config, capsys):
+    def test_error_level_silences_it(self, ghost_config, unconfigured, capsys):
         argv = ["link", "--config", ghost_config, "--question", self.QUESTION]
         assert main([*argv, "--log-level", "error"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["keywords"]
+        assert logging.getLogger("kglinker").level == logging.NOTSET
+
+    def test_configured_logging_alone_gets_it(self, ghost_config, caplog, capsys):
+        assert main(["link", "--config", ghost_config, "--question", self.QUESTION]) == 0
+        assert capsys.readouterr().err == ""
+        assert "candidate uri 'dbr:Tesla_Ghost' not in the graph; treated as disconnected" in (
+            caplog.messages
+        )
 
 
 def _with_key(key, value):

@@ -150,9 +150,9 @@ def hub_kg_lines(rng):
     ``type`` through predicates of its own; and a chain whose far end ``x0``
     is 5 hops from ``type``, so every cap from 1 to 5 first reaches a hub at
     the cap from some source."""
-    lines = random_kg_lines(rng, 16, 14)
-    lines += [f"v{i}\ttype\tclass{i % 2}" for i in range(1, 16) if rng.random() < 0.8]
-    lines += ["v0\ttype\tclass0", *(f"v0\tq{i}\tw{i}" for i in range(6))]
+    lines = random_kg_lines(rng, 60, 40)
+    lines += [f"v{i}\ttype\tclass{i % 2}" for i in range(1, 60) if rng.random() < 0.9]
+    lines += ["v0\ttype\tclass0", *(f"v0\tq{i}\tv{rng.randrange(1, 60)}" for i in range(50))]
     lines += ["x0\tc0\tx1", "x1\tc1\tx2", "x2\ttype\tclass1"]
     return lines
 
@@ -221,9 +221,13 @@ class TestHubRows:
     row when the source's own row is inserted."""
 
     def test_hub_rule(self):
-        # p has degree 3 of 9 nodes (9 is not above 9); q has degree 4 (16 is).
-        graph = build_subdivision(make_graph(["a\tp\tb", "a\tp\tc", "d\tq\te", "f\tq\tg"]))
-        assert len(graph) == 9
+        # q of degree 20 among 25 nodes is not a hub (20 * 20 == 16 * 25);
+        # one more leaf makes it degree 21 among 26, a hub (441 > 416).
+        lines = [f"s\tq\to{i}" for i in range(19)] + ["a\tp\tb", "a\tr\tb"]
+        graph = build_subdivision(make_graph(lines))
+        assert len(graph) == 25 and not HopOracle(graph).hubs
+        graph = build_subdivision(make_graph(lines + ["s\tq\to19"]))
+        assert len(graph) == 26
         assert {graph.names[h] for h in HopOracle(graph).hubs} == {"q"}
 
     def test_planted_hubs(self):
