@@ -24,7 +24,8 @@ def adapt(result, state, threshold: float, pipeline):
     its lists are retried in place, a retry is retrieved as ``link``
     retrieves (gold injection included), and a kept flip puts its list into
     ``state`` and its retrieval notes into the diagnostics, in place of one
-    first-pass "no candidates" note of its keyword. A threshold of 0
+    first-pass "no candidates" note of its keyword and of the uris its
+    first-pass list dropped as off the graph. A threshold of 0
     retries nothing. A result of fewer than two blocks carries no
     per-candidate probabilities and is returned unchanged with a note.
     """
@@ -59,13 +60,9 @@ def adapt(result, state, threshold: float, pipeline):
         )
         if not kept:
             continue
+        _take_back(result.diagnostics, "notes", [no_candidates_note(blocks[i].keyword)])
+        _take_back(result.diagnostics, "dropped_candidates", state.lists[i].dropped)
         state.lists = trial_lists
-        stale = no_candidates_note(blocks[i].keyword)
-        first_notes = result.diagnostics.get("notes", [])
-        if stale in first_notes:
-            first_notes.remove(stale)
-            if not first_notes:
-                del result.diagnostics["notes"]
         for key, values in notes.items():
             result.diagnostics.setdefault(key, []).extend(values)
         # Every keyword keeps its better version, so an accepted flip
@@ -74,3 +71,16 @@ def adapt(result, state, threshold: float, pipeline):
             if j == i or trial.max_probability() > blocks[j].max_probability():
                 blocks[j] = trial
     return result
+
+
+def _take_back(diagnostics: dict, key: str, stale: list) -> None:
+    """Remove one occurrence of each ``stale`` value from ``diagnostics[key]``,
+    and the key once its list is empty."""
+    values = diagnostics.get(key)
+    if not values:
+        return
+    for value in stale:
+        if value in values:
+            values.remove(value)
+    if not values:
+        del diagnostics[key]

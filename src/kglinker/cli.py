@@ -234,7 +234,7 @@ def build_parser() -> _Parser:
             "--log-level",
             choices=("warning", "error"),
             default="warning",
-            help="error hides the package's warnings, such as a uri not in the graph "
+            help="error hides build-index's warning about a label uri not in the graph "
             "(default: warning)",
         )
     return parser

@@ -10,7 +10,6 @@ once, updating both endpoints.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from .errors import InstanceError
 from .index import Candidate, CandidateList
 from .kg import DISCONNECTED, HopOracle, hop_block
-
-logger = logging.getLogger(__name__)
 
 CONNECT_THRESHOLD = 2
 
@@ -38,25 +35,19 @@ def compute_features(
 ) -> list[list[DensityFeatures]]:
     """Connectivity features for every candidate of every list.
 
-    Candidates that resolve to no graph node are treated as disconnected
-    from everything (their pairs are not evaluated against the oracle).
     Raises when fewer than two lists are given, since cross-list evidence is
-    undefined for a single keyword.
+    undefined for a single keyword, and NodeNotFoundError for a candidate
+    that is not a graph node.
     """
     n = len(lists)
     if n < 2:
         raise InstanceError("connectivity features need at least 2 candidate lists")
     far = oracle.cap + 1  # finite substitute for pairs beyond the cap
 
-    node_ids: list[list[int | None]] = []
-    for clist in lists:
-        ids: list[int | None] = []
-        for cand in clist.candidates:
-            node = oracle.graph.try_node_id(cand.uri, cand.kind)
-            if node is None:
-                logger.warning("candidate uri %r not in the graph; treated as disconnected", cand.uri)
-            ids.append(node)
-        node_ids.append(ids)
+    node_ids = [
+        [oracle.graph.node_id(cand.uri, cand.kind) for cand in clist.candidates]
+        for clist in lists
+    ]
 
     connects = [np.zeros(len(ids), dtype=np.int64) for ids in node_ids]
     hop_sums = [np.zeros(len(ids), dtype=np.int64) for ids in node_ids]

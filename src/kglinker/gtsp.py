@@ -15,7 +15,7 @@ cluster at a time improves the best of them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class GtspInstance:
     clusters: list[list[int]]
     cost: np.ndarray
     disconnect_penalty: float
-    dropped: list[str] = field(default_factory=list)
 
     @property
     def cluster_count(self) -> int:
@@ -84,8 +83,8 @@ def build_instance(
     different clusters, with the disconnect penalty substituted for pairs
     beyond the oracle's cap. No route moves inside a cluster, so
     intra-cluster costs are 0 and those pairs are never queried.
-    Candidates that resolve to no graph node are dropped with a note; a
-    cluster losing all members is an error.
+    An empty list is an error, and a candidate that is not a graph node
+    raises NodeNotFoundError.
     """
     if len(lists) < 2:
         raise InstanceError("need at least 2 candidate lists")
@@ -93,31 +92,20 @@ def build_instance(
         raise InstanceError("rank_weight must be >= 0")
     nodes: list[GtspNode] = []
     clusters: list[list[int]] = []
-    keywords: list[str] = []
-    dropped: list[str] = []
     for cluster_id, clist in enumerate(lists):
-        members: list[int] = []
-        for cand in clist.candidates:
-            graph_node = oracle.graph.try_node_id(cand.uri, cand.kind)
-            if graph_node is None:
-                dropped.append(cand.uri)
-                continue
-            members.append(len(nodes))
-            nodes.append(
-                GtspNode(
-                    uri=cand.uri,
-                    kind=cand.kind,
-                    rank=cand.initial_rank,
-                    cluster=cluster_id,
-                    graph_node=graph_node,
-                )
+        if not clist.candidates:
+            raise InstanceError(f"no candidates for keyword {clist.keyword!r}")
+        clusters.append(list(range(len(nodes), len(nodes) + len(clist.candidates))))
+        nodes.extend(
+            GtspNode(
+                uri=cand.uri,
+                kind=cand.kind,
+                rank=cand.initial_rank,
+                cluster=cluster_id,
+                graph_node=oracle.graph.node_id(cand.uri, cand.kind),
             )
-        if not members:
-            raise InstanceError(
-                f"no resolvable candidates left for keyword {clist.keyword!r}"
-            )
-        clusters.append(members)
-        keywords.append(clist.keyword)
+            for cand in clist.candidates
+        )
 
     max_rank = max(node.rank for node in nodes)
     penalty = disconnect_penalty(oracle.cap, max_rank)
@@ -134,12 +122,11 @@ def build_instance(
             cost[np.ix_(rows, cols)] = block
             cost[np.ix_(cols, rows)] = block.T
     return GtspInstance(
-        keywords=keywords,
+        keywords=[clist.keyword for clist in lists],
         nodes=nodes,
         clusters=clusters,
         cost=cost,
         disconnect_penalty=penalty,
-        dropped=dropped,
     )
 
 

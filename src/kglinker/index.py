@@ -65,6 +65,8 @@ class CandidateList:
     keyword: str
     kind_queried: Kind
     candidates: list[Candidate] = field(default_factory=list)
+    #: Uris that retrieval removed because they are not graph nodes.
+    dropped: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.candidates)

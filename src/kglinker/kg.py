@@ -334,9 +334,7 @@ class HopOracle:
         return int(hop_block(self, [node_a], [node_b])[0, 0])
 
 
-def hop_block(
-    oracle: HopOracle, ids_a: Sequence[int | None], ids_b: Sequence[int | None]
-) -> np.ndarray:
+def hop_block(oracle: HopOracle, ids_a: Sequence[int], ids_b: Sequence[int]) -> np.ndarray:
     """Hop counts from every node of ``ids_a`` (rows) to every node of ``ids_b``.
 
     The one place pairwise distances are read from the oracle. A source
@@ -344,26 +342,17 @@ def hop_block(
     source is answered pair by pair through :meth:`HopOracle.distance_by_id`,
     which reads the partner's row first and builds the source's row only
     when neither is cached, so the rows built do not depend on this choice.
-    A ``None`` id (a candidate with no graph node) is DISCONNECTED from
-    everything without a query. Every answered pair adds to ``oracle.pairs``.
+    Every answered pair adds to ``oracle.pairs``.
     """
-    valid = [j for j, b in enumerate(ids_b) if b is not None]
-    targets = [ids_b[j] for j in valid]
-    cols = np.array(targets, dtype=np.intp)
-    hops = np.full((len(ids_a), len(targets)), DISCONNECTED, dtype=np.int64)
+    cols = np.array(ids_b, dtype=np.intp)
+    hops = np.empty((len(ids_a), len(ids_b)), dtype=np.int64)
     for i, a in enumerate(ids_a):
-        if a is None:
-            continue
         row = oracle.cached_row(a)
         if row is None:
-            hops[i] = [oracle.distance_by_id(a, b) for b in targets]
+            hops[i] = [oracle.distance_by_id(a, b) for b in ids_b]
         else:
             hops[i] = np.frombuffer(row, np.uint8)[cols]
-            oracle.pairs += len(targets)
+            oracle.pairs += len(ids_b)
     # Gathered bytes are widened to int64 above, so _BEYOND maps to DISCONNECTED here.
     hops[hops == _BEYOND] = DISCONNECTED
-    if len(targets) == len(ids_b):
-        return hops
-    block = np.full((len(ids_a), len(ids_b)), DISCONNECTED, dtype=np.int64)
-    block[:, valid] = hops
-    return block
+    return hops

@@ -348,7 +348,8 @@ class Pipeline:
     # -- retrieval ----------------------------------------------------------
 
     def retrieve(self, keyword: str, kind: Kind) -> CandidateList:
-        return self.index.search(keyword, kind, self.config.k)
+        """The graph nodes among the top ``k`` index matches of ``keyword``."""
+        return self._graph_nodes(self.index.search(keyword, kind, self.config.k), {})
 
     def retrieve_for(
         self, question: Question, keyword: str, kind: Kind, diagnostics: dict
@@ -357,9 +358,10 @@ class Pipeline:
 
         With gold injection on, when the first gold span of the keyword's
         phrase has the keyword's kind and retrieval missed its uri, that uri
-        is appended at the lowest rank.
+        is appended at the lowest rank. The list then keeps only graph nodes;
+        a "no candidates" note means the index itself found none.
         """
-        clist = self.retrieve(keyword, kind)
+        clist = self.index.search(keyword, kind, self.config.k)
         if self.config.gold_injection:
             keyword_norm = normalize(keyword)
             span = next(
@@ -372,6 +374,25 @@ class Pipeline:
                 diagnostics.setdefault("injected_gold", []).append(keyword)
         if not clist.candidates:
             diagnostics.setdefault("notes", []).append(no_candidates_note(keyword))
+        return self._graph_nodes(clist, diagnostics)
+
+    def _graph_nodes(self, clist: CandidateList, diagnostics: dict) -> CandidateList:
+        """``clist`` without the candidates whose uri is not a graph node of
+        their kind: the one check of candidates against the graph, since
+        neither strategy can place such a candidate. The removed uris go
+        into ``clist.dropped`` and ``diagnostics``; the candidates kept keep
+        their initial ranks.
+        """
+        graph = self.oracle.graph
+        kept = []
+        for cand in clist.candidates:
+            if graph.try_node_id(cand.uri, cand.kind) is None:
+                clist.dropped.append(cand.uri)
+            else:
+                kept.append(cand)
+        if clist.dropped:
+            clist.candidates = kept
+            diagnostics.setdefault("dropped_candidates", []).extend(clist.dropped)
         return clist
 
     def _should_flip(self, question_id: str, keyword: str) -> bool:
@@ -401,19 +422,8 @@ class Pipeline:
 
     def _route_blocks(self, state: LinkState, diagnostics: dict) -> list[KeywordBlock]:
         """Single choice per keyword through the route-based solvers; the
-        instance and the route go into ``state``.
-
-        A list whose candidates are all off the graph is linked as an empty
-        list, with its uris reported as dropped.
-        """
-        graph = self.oracle.graph
-        lists = list(state.lists)
-        for i, clist in enumerate(lists):
-            if clist.candidates and all(
-                graph.try_node_id(c.uri, c.kind) is None for c in clist.candidates
-            ):
-                diagnostics.setdefault("dropped_candidates", []).extend(clist.uris())
-                lists[i] = CandidateList(keyword=clist.keyword, kind_queried=clist.kind_queried)
+        instance and the route go into ``state``."""
+        lists = state.lists
         populated = [i for i, clist in enumerate(lists) if clist.candidates]
         if len(populated) < 2:
             diagnostics.setdefault("notes", []).append(
@@ -425,8 +435,6 @@ class Pipeline:
         instance = state.instance = gtsp.build_instance(
             [lists[i] for i in populated], self.oracle, self.config.rank_weight
         )
-        if instance.dropped:
-            diagnostics.setdefault("dropped_candidates", []).extend(instance.dropped)
         if self.config.strategy == "exact":
             try:
                 assignment = state.exact = gtsp.solve_exact(instance)

@@ -161,9 +161,6 @@ def naive_density(lists_of_nodes, hop_table, cap):
 
 
 def per_pair_hop_block(oracle, ids_a, ids_b) -> np.ndarray:
-    """Hop block by one ``oracle.distance_by_id`` call per pair; -1 at a None id."""
-    rows = [
-        [-1 if a is None or b is None else oracle.distance_by_id(a, b) for b in ids_b]
-        for a in ids_a
-    ]
+    """Hop block by one ``oracle.distance_by_id`` call per pair."""
+    rows = [[oracle.distance_by_id(a, b) for b in ids_b] for a in ids_a]
     return np.array(rows, dtype=np.int64).reshape(len(ids_a), len(ids_b))

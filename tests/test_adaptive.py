@@ -10,8 +10,8 @@ from kglinker.pipeline import (
     train_er_artifact,
     train_reranker_artifact,
 )
-from kglinker.spotter import load_questions
-from kglinker.synthetic import generate_world
+from kglinker.spotter import Question, load_questions
+from kglinker.synthetic import generate_world, mini_world
 
 
 @pytest.fixture(scope="session")
@@ -123,8 +123,6 @@ class TestAdaptiveFlow:
         config = copy.deepcopy(adaptive_setup["config"])
         config.gold_spans = False
         pipe = Pipeline.from_config(config)
-        from kglinker.spotter import Question
-
         question = Question(id="junk", text="What is the zzzuNkNoWn of the fam0 and the fam1?")
         result = pipe.link(question)
         flips = result.diagnostics.get("flips", [])
@@ -147,3 +145,48 @@ class TestAdaptiveFlow:
                     assert no_candidates_note(block.keyword) not in (notes or [])
             dropped += len(first) - len(notes or [])
         assert dropped > 0
+
+
+class TestKeptFlipAfterOffGraphDrop:
+    @pytest.fixture(scope="class")
+    def ghost_pipeline(self, tmp_path_factory):
+        """Density on the mini world plus an entity label "born" whose uri is
+        not in the graph, with the kind of "born" always flipped to entity."""
+        tmp = tmp_path_factory.mktemp("born-ghost-world")
+        world = mini_world()
+        world.labels.append(("dbr:Born_Ghost", "born", "E", 1.0))
+        paths = world.write(tmp / "data")
+        config = PipelineConfig(
+            strategy="density",
+            k=10,
+            triples=paths["triples"],
+            labels=paths["labels"],
+            expansions=paths["expansions"],
+            artifacts=str(tmp / "artifacts"),
+        )
+        build_index_artifact(config)
+        train_er_artifact(config)
+        train_reranker_artifact(config, questions=load_questions(paths["dataset"]), folds=5)
+        pipe = Pipeline.from_config(config)
+        pipe._should_flip = lambda question_id, keyword: keyword == "born"
+        return pipe
+
+    def test_first_pass_drop_is_taken_back(self, ghost_pipeline):
+        question = Question(id="g", text="Where was the founder of Tesla and SpaceX born?")
+        result = ghost_pipeline.link(question)
+        flip = next(f for f in result.diagnostics["flips"] if f["keyword"] == "born")
+        assert flip["kept"]
+        assert [b.top_uri() for b in result.blocks if b.keyword == "born"] == ["dbo:birthPlace"]
+        assert "dbr:Born_Ghost" not in result.diagnostics.get("dropped_candidates", [])
+
+    def test_first_pass_drop_stays_without_retry(self, ghost_pipeline):
+        config = copy.deepcopy(ghost_pipeline.config)
+        config.adaptive_threshold = 0.0
+        pipe = Pipeline(
+            ghost_pipeline.kg, ghost_pipeline.oracle, ghost_pipeline.index, config,
+            ghost_pipeline.er_model, ghost_pipeline.rerank_model,
+        )
+        pipe._should_flip = ghost_pipeline._should_flip
+        question = Question(id="g", text="Where was the founder of Tesla and SpaceX born?")
+        result = pipe.link(question)
+        assert result.diagnostics["dropped_candidates"] == ["dbr:Born_Ghost"]

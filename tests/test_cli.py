@@ -268,23 +268,20 @@ class TestEvalCommand:
 
 
 class TestLogLevel:
-    QUESTION = "Where was the founder of Tesla and SpaceX born?"
+    WARNING = "label entry uri 'dbr:Tesla_Ghost' not found in the graph"
 
-    @pytest.fixture(scope="class")
-    def ghost_config(self, cli_setup, tmp_path_factory):
-        """The mini world's config plus a label whose uri is not in the graph."""
-        tmp = tmp_path_factory.mktemp("ghost")
-        labels = tmp / "labels.tsv"
+    @pytest.fixture
+    def ghost_config(self, cli_setup, tmp_path):
+        """The mini world's config plus a label whose uri is not in the graph,
+        with artifacts of its own."""
+        labels = tmp_path / "labels.tsv"
         labels.write_text(
             (cli_setup["world"] / "labels.tsv").read_text() + "dbr:Tesla_Ghost\tTesla\tE\t1.0\n"
         )
         config = json.loads((cli_setup["tmp"] / "config.json").read_text())
-        config.update(strategy="density", labels=str(labels), artifacts=str(tmp / "artifacts"))
-        path = tmp / "config.json"
+        config.update(labels=str(labels), artifacts=str(tmp_path / "artifacts"))
+        path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        dataset = str(cli_setup["world"] / "dataset.json")
-        for argv in (["build-index"], ["train-er"], ["train-reranker", "--dataset", dataset]):
-            assert main([*argv, "--config", str(path), "--log-level", "error"]) == 0
         return str(path)
 
     @pytest.fixture
@@ -294,24 +291,20 @@ class TestLogLevel:
         monkeypatch.setattr(logging.getLogger("kglinker"), "propagate", False)
 
     def test_default_prints_off_graph_warning(self, ghost_config, unconfigured, capsys):
-        assert main(["link", "--config", ghost_config, "--question", self.QUESTION]) == 0
-        err = capsys.readouterr().err
-        assert "candidate uri 'dbr:Tesla_Ghost' not in the graph; treated as disconnected\n" in err
+        assert main(["build-index", "--config", ghost_config]) == 0
+        assert self.WARNING + "\n" in capsys.readouterr().err
 
     def test_error_level_silences_it(self, ghost_config, unconfigured, capsys):
-        argv = ["link", "--config", ghost_config, "--question", self.QUESTION]
-        assert main([*argv, "--log-level", "error"]) == 0
+        assert main(["build-index", "--config", ghost_config, "--log-level", "error"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert json.loads(captured.out)["keywords"]
+        assert json.loads(captured.out)["built"] == "index"
         assert logging.getLogger("kglinker").level == logging.NOTSET
 
     def test_configured_logging_alone_gets_it(self, ghost_config, caplog, capsys):
-        assert main(["link", "--config", ghost_config, "--question", self.QUESTION]) == 0
+        assert main(["build-index", "--config", ghost_config]) == 0
         assert capsys.readouterr().err == ""
-        assert "candidate uri 'dbr:Tesla_Ghost' not in the graph; treated as disconnected" in (
-            caplog.messages
-        )
+        assert self.WARNING in caplog.messages
 
 
 def _with_key(key, value):

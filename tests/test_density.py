@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kglinker.density import compute_features
-from kglinker.errors import InstanceError
+from kglinker.errors import InstanceError, NodeNotFoundError
 from kglinker.index import Candidate, CandidateList
 from kglinker.kg import HopOracle, Kind, build_subdivision, load_graph
 
@@ -71,22 +71,25 @@ class TestComputeFeatures:
         assert feats[0][0].connection_count == pytest.approx(0.5)
         assert feats[0][0].hop_count == 0.0
 
-    def test_unresolvable_candidate_counts_as_disconnected(self):
+    def test_off_graph_candidate_rejected(self):
+        # Retrieval removes off-graph candidates, so one reaching here is an error.
         oracle = make_oracle(["A\tp\tB"])
         lists = [clist("ka", [("ghost", E)]), clist("kb", [("B", E)])]
-        feats = compute_features(lists, oracle)
-        assert feats[0][0].connection_count == 0.0
-        assert feats[0][0].hop_count == pytest.approx((oracle.cap + 1) / 2)
+        with pytest.raises(NodeNotFoundError, match="ghost"):
+            compute_features(lists, oracle)
 
 
 def random_world(rng, n_vertices=14, n_triples=26):
     vertices = [f"v{i}" for i in range(n_vertices)]
     predicates = [f"p{i}" for i in range(5)]
-    lines = [
-        f"{rng.choice(vertices)}\t{rng.choice(predicates)}\t{rng.choice(vertices)}"
+    triples = [
+        (rng.choice(vertices), rng.choice(predicates), rng.choice(vertices))
         for _ in range(n_triples)
     ]
-    oracle = make_oracle(lines)
+    oracle = make_oracle(["\t".join(triple) for triple in triples])
+    # Candidates are graph nodes only, as retrieval leaves them.
+    vertices = sorted({s for s, _, _ in triples} | {o for _, _, o in triples})
+    predicates = sorted({p for _, p, _ in triples})
     n_lists = rng.randint(2, 4)
     lists = []
     for k in range(n_lists):
@@ -109,7 +112,7 @@ class TestFeatureProperties:
             feats = compute_features(lists, oracle)
             table = all_pairs_bfs(oracle.graph.adjacency)
             node_lists = [
-                [oracle.graph.try_node_id(c.uri, c.kind) for c in lst.candidates]
+                [oracle.graph.node_id(c.uri, c.kind) for c in lst.candidates]
                 for lst in lists
             ]
             c_exp, h_exp = naive_density(node_lists, table, oracle.cap)

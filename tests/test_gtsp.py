@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from kglinker.errors import InstanceError, TooLargeError
+from kglinker.errors import InstanceError, NodeNotFoundError, TooLargeError
 from kglinker.gtsp import (
     GtspInstance,
     GtspNode,
@@ -142,13 +142,14 @@ class TestBuildInstance:
                 hops = float(d) if d != DISCONNECTED else inst.disconnect_penalty
                 assert inst.cost[u, v] == hops + 0.5 * (nu.rank + nv.rank)
 
-    def test_unresolvable_dropped_and_empty_cluster_errors(self):
+    def test_off_graph_candidate_and_empty_list_rejected(self):
+        # Retrieval removes off-graph candidates, so one reaching here is an error.
         oracle = make_oracle(["A\tp\tB"])
         lists = [clist("ka", E, ["A", "ghost"]), clist("kb", E, ["B"])]
-        inst = build_instance(lists, oracle)
-        assert inst.dropped == ["ghost"]
-        with pytest.raises(InstanceError, match="kghost"):
-            build_instance([clist("ka", E, ["A"]), clist("kghost", E, ["ghost"])], oracle)
+        with pytest.raises(NodeNotFoundError, match="ghost"):
+            build_instance(lists, oracle)
+        with pytest.raises(InstanceError, match="kempty"):
+            build_instance([clist("ka", E, ["A"]), clist("kempty", E, [])], oracle)
 
     def test_single_list_rejected(self):
         oracle = make_oracle(["A\tp\tB"])

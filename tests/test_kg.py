@@ -185,10 +185,10 @@ class TestHopOracleProperties:
     def test_matches_all_pairs_bfs_evicting(self, cap, monkeypatch):
         check_matches_all_pairs_bfs(cap, lambda graph: limit_rows(monkeypatch, graph, 2))
 
-    def test_hop_block_none_and_empty(self):
+    def test_hop_block_empty_sides(self):
         oracle = HopOracle(build_subdivision(make_graph(["A\tp\tB"])))
-        block = hop_block(oracle, [0, None], [None, 1, 2])
-        assert block.tolist() == [[DISCONNECTED, 1, 2], [DISCONNECTED] * 3]
+        block = hop_block(oracle, [0], [1, 2])
+        assert block.tolist() == [[1, 2]]
         assert oracle.pairs == 2
         assert hop_block(oracle, [], [1, 2]).shape == (0, 2)
         assert hop_block(oracle, [1, 2], []).shape == (2, 0)
@@ -290,7 +290,7 @@ def check_hop_block_equals_per_pair_reference(
 
     monkeypatch.setattr(HopOracle, "_row", recorded_build)
     oracle, reference = HopOracle(graph, cap=2), HopOracle(graph, cap=2)
-    ids = [*rng.sample(range(len(graph)), 8), *sorted(oracle.hubs), None]
+    ids = [*rng.sample(range(len(graph)), 8), *sorted(oracle.hubs)]
     shapes = [(0, 3), (3, 0), (1, 1), (4, 1), (1, 5), (5, 6)] * 8
     values = set()
     for size_a, size_b in shapes:

@@ -155,9 +155,12 @@ class TestLinkBehaviour:
 class TestOffGraphKeyword:
     @pytest.fixture(scope="class")
     def atlantis_setup(self, tmp_path_factory):
+        """The mini world plus two entity labels whose uris are not in the
+        graph: all of "Atlantis"'s candidates and one of "Tesla"'s."""
         tmp = tmp_path_factory.mktemp("atlantis-world")
         world = mini_world()
         world.labels.append(("dbr:Atlantis", "Atlantis", "E", 1.0))
+        world.labels.append(("dbr:Tesla_Ghost", "Tesla", "E", 1.0))
         paths = world.write(tmp / "data")
         config = PipelineConfig(
             k=10,
@@ -168,13 +171,17 @@ class TestOffGraphKeyword:
         )
         build_index_artifact(config)
         train_er_artifact(config)
+        train_reranker_artifact(config, questions=load_questions(paths["dataset"]), folds=5)
         return config
 
-    @pytest.mark.parametrize("strategy", ["exact", "approx"])
-    def test_linked_as_empty_list(self, atlantis_setup, strategy):
+    def pipeline(self, atlantis_setup, strategy):
         config = copy.deepcopy(atlantis_setup)
         config.strategy = strategy
-        pipe = Pipeline.from_config(config)
+        return Pipeline.from_config(config)
+
+    @pytest.mark.parametrize("strategy", ["exact", "approx", "density"])
+    def test_linked_as_empty_list(self, atlantis_setup, strategy):
+        pipe = self.pipeline(atlantis_setup, strategy)
         result = pipe.link(Question(id="a", text="Where was the founder of Atlantis born?"))
         choices = {b.keyword: [c.uri for c in b.candidates] for b in result.blocks}
         assert choices == {
@@ -183,7 +190,32 @@ class TestOffGraphKeyword:
             "born": ["dbo:birthPlace"],
         }
         assert result.diagnostics["dropped_candidates"] == ["dbr:Atlantis"]
-        assert "route_cost" in result.diagnostics
+        assert ("route_cost" in result.diagnostics) == (strategy != "density")
+
+    @pytest.mark.parametrize("strategy", ["exact", "approx", "density"])
+    def test_partly_off_graph_list_loses_only_that_uri(self, atlantis_setup, strategy):
+        pipe = self.pipeline(atlantis_setup, strategy)
+        result = pipe.link(Question(id="w", text=WORKED_QUESTION))
+        assert {b.keyword: b.top_uri() for b in result.blocks} == WORKED_GOLD
+        assert all(
+            c.uri != "dbr:Tesla_Ghost" for block in result.blocks for c in block.candidates
+        )
+        assert result.diagnostics["dropped_candidates"] == ["dbr:Tesla_Ghost"]
+
+    def test_retrieve_returns_only_graph_nodes(self, atlantis_setup):
+        pipe = self.pipeline(atlantis_setup, "exact")
+        tesla = pipe.retrieve("Tesla", E)
+        assert "dbr:Tesla_Ghost" not in tesla.uris()
+        assert tesla.dropped == ["dbr:Tesla_Ghost"]
+        assert "dbr:Tesla_Motors" in tesla.uris()
+        # The candidates kept keep their ranks, so one rank is missing.
+        ranks = [c.initial_rank for c in tesla.candidates]
+        assert ranks == sorted(ranks) and len(ranks) < max(ranks)
+        for kind in (E, R):
+            for keyword in ("Atlantis", "Tesla", "founder", "born"):
+                for cand in pipe.retrieve(keyword, kind).candidates:
+                    assert pipe.oracle.graph.try_node_id(cand.uri, cand.kind) is not None
+        assert pipe.retrieve("Atlantis", E).candidates == []
 
 
 class TestConfig:
