@@ -12,9 +12,10 @@ import json
 import logging
 import sys
 from dataclasses import fields
+from typing import Iterator
 
 from .config import PipelineConfig
-from .errors import KglinkerError
+from .errors import KglinkerError, ParseError
 from .pipeline import (
     LATENCY_KEYS,
     Pipeline,
@@ -119,24 +120,35 @@ def _cmd_link(args) -> int:
     config = _build_config(args)
     pipeline = Pipeline.from_config(config)
     if args.question is not None:
-        questions = [Question(id="q0", text=args.question)]
+        questions = [("q0", Question(id="q0", text=args.question))]
     elif args.dataset:
-        questions = load_questions(args.dataset)
+        questions = [(q.id, q) for q in load_questions(args.dataset)]
     else:
-        questions = (
-            Question(id=f"stdin-{i}", text=line.strip())
-            for i, line in enumerate(sys.stdin)
-            if line.strip()
-        )
+        questions = _stdin_questions()
     failed = False
-    for question in questions:
+    for question_id, question in questions:
         try:
+            if isinstance(question, KglinkerError):
+                raise question
             line = pipeline.link(question).to_json(include_timings=args.timings)
         except KglinkerError as exc:
             failed = True
-            line = json.dumps({"error": str(exc), "question_id": question.id}, sort_keys=True)
+            line = json.dumps({"error": str(exc), "question_id": question_id}, sort_keys=True)
         print(line, flush=True)
     return 2 if failed else 0
+
+
+def _stdin_questions() -> Iterator[tuple[str, Question | ParseError]]:
+    """(id, question) per non-blank stdin line, read lazily and decoded here as
+    UTF-8 whatever the locale: a line that is not UTF-8 gets a ParseError."""
+    for i, raw in enumerate(getattr(sys.stdin, "buffer", sys.stdin)):
+        try:
+            text = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+        except UnicodeDecodeError as exc:
+            yield f"stdin-{i}", ParseError(str(exc), i + 1, "stdin")
+        else:
+            if text:
+                yield f"stdin-{i}", Question(id=f"stdin-{i}", text=text)
 
 
 def _cmd_eval(args) -> int:

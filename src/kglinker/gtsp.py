@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InstanceError, TooLargeError
 from .index import CandidateList
-from .kg import DISCONNECTED, HopOracle, Kind, hop_block
+from .kg import DISCONNECTED, HopOracle, Kind, cross_hops
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_RANK_WEIGHT = 1.0
@@ -33,7 +33,6 @@ class GtspNode:
     kind: Kind
     rank: int
     cluster: int
-    graph_node: int | None = None
 
 
 @dataclass
@@ -81,8 +80,9 @@ def build_instance(
 
     cost(u, v) = hops(u, v) + rank_weight * (rank_u + rank_v) for u and v in
     different clusters, with the disconnect penalty substituted for pairs
-    beyond the oracle's cap. No route moves inside a cluster, so
-    intra-cluster costs are 0 and those pairs are never queried.
+    beyond the oracle's cap, over the hops of :func:`~kglinker.kg.cross_hops`.
+    No route moves inside a cluster, so intra-cluster costs are 0 and those
+    pairs are never queried.
     An empty list is an error, and a candidate that is not a graph node
     raises NodeNotFoundError.
     """
@@ -90,37 +90,20 @@ def build_instance(
         raise InstanceError("need at least 2 candidate lists")
     if rank_weight < 0:
         raise InstanceError("rank_weight must be >= 0")
-    nodes: list[GtspNode] = []
-    clusters: list[list[int]] = []
-    for cluster_id, clist in enumerate(lists):
+    for clist in lists:
         if not clist.candidates:
             raise InstanceError(f"no candidates for keyword {clist.keyword!r}")
-        clusters.append(list(range(len(nodes), len(nodes) + len(clist.candidates))))
-        nodes.extend(
-            GtspNode(
-                uri=cand.uri,
-                kind=cand.kind,
-                rank=cand.initial_rank,
-                cluster=cluster_id,
-                graph_node=oracle.graph.node_id(cand.uri, cand.kind),
-            )
-            for cand in clist.candidates
-        )
-
-    max_rank = max(node.rank for node in nodes)
-    penalty = disconnect_penalty(oracle.cap, max_rank)
-    graph_nodes = [[nodes[i].graph_node for i in members] for members in clusters]
+    nodes = [
+        GtspNode(uri=cand.uri, kind=cand.kind, rank=cand.initial_rank, cluster=cluster_id)
+        for cluster_id, clist in enumerate(lists)
+        for cand in clist.candidates
+    ]
+    hops, owner = cross_hops(oracle, lists)
+    clusters = [np.flatnonzero(owner == c).tolist() for c in range(len(lists))]
+    penalty = disconnect_penalty(oracle.cap, max(node.rank for node in nodes))
     ranks = np.array([node.rank for node in nodes])
-    cost = np.zeros((len(nodes), len(nodes)), dtype=np.float64)
-    for a, rows in enumerate(clusters):
-        for b in range(a + 1, len(clusters)):
-            cols = clusters[b]
-            hops = hop_block(oracle, graph_nodes[a], graph_nodes[b])
-            block = np.where(hops == DISCONNECTED, penalty, hops) + rank_weight * (
-                ranks[rows][:, None] + ranks[cols]
-            )
-            cost[np.ix_(rows, cols)] = block
-            cost[np.ix_(cols, rows)] = block.T
+    cost = np.where(hops == DISCONNECTED, penalty, hops) + rank_weight * (ranks[:, None] + ranks)
+    cost[owner[:, None] == owner] = 0.0
     return GtspInstance(
         keywords=[clist.keyword for clist in lists],
         nodes=nodes,

@@ -8,10 +8,11 @@ relation identifiers resolve to exactly one place in the graph.
 Hop distances are read from per-source BFS rows that :class:`HopOracle`
 caches within a byte budget; :func:`hop_block` reads a whole cached row with
 one numpy gather and asks the oracle pair by pair only for a source whose
-row is not cached. A row's BFS stops at hub nodes (degree above four times
-the square root of the node count, such as an ``rdf:type`` predicate node)
-and reads every path through a hub from the hub's own row, so no row walks
-a hub's adjacency more than once while that hub's row stays cached.
+row is not cached, and :func:`cross_hops` puts a question's blocks into the
+one matrix both linking strategies read. A row's BFS stops at hub nodes
+(such as an ``rdf:type`` predicate node; see :class:`HopOracle`) and reads
+every path through a hub from the hub's own row, so no row walks a hub's
+adjacency more than once while that hub's row stays cached.
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
 from .errors import NodeNotFoundError, ParseError
+
+if TYPE_CHECKING:
+    from .index import CandidateList
 
 #: Sentinel distance for pairs with no path within the oracle's cap.
 DISCONNECTED = -1
@@ -356,3 +360,25 @@ def hop_block(oracle: HopOracle, ids_a: Sequence[int], ids_b: Sequence[int]) -> 
     # Gathered bytes are widened to int64 above, so _BEYOND maps to DISCONNECTED here.
     hops[hops == _BEYOND] = DISCONNECTED
     return hops
+
+
+def cross_hops(oracle: HopOracle, lists: Sequence[CandidateList]) -> tuple[np.ndarray, np.ndarray]:
+    """Hop counts between the candidates of different lists, as one matrix.
+
+    Rows and columns run over the lists' candidates in order, and ``owner``
+    holds each one's list index. Node ids are resolved once (an off-graph
+    candidate raises NodeNotFoundError) and each pair of lists a < b is read
+    once through :func:`hop_block`, list a as rows, so rows are built and
+    pairs counted as one block per pair does. Entries inside a list are 0.
+    """
+    ids = [[oracle.graph.node_id(c.uri, c.kind) for c in clist.candidates] for clist in lists]
+    bounds = np.cumsum([0] + [len(members) for members in ids])
+    owner = np.repeat(np.arange(len(ids)), np.diff(bounds))
+    hops = np.zeros((len(owner), len(owner)), dtype=np.int64)
+    for a in range(len(ids)):
+        rows = slice(bounds[a], bounds[a + 1])
+        for b in range(a + 1, len(ids)):
+            cols = slice(bounds[b], bounds[b + 1])
+            hops[rows, cols] = hop_block(oracle, ids[a], ids[b])
+            hops[cols, rows] = hops[rows, cols].T
+    return hops, owner

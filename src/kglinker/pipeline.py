@@ -448,9 +448,8 @@ class Pipeline:
 
         scored: list[list[tuple[Candidate, None]]] = [[] for _ in lists]
         for cluster_id, list_index in enumerate(populated):
-            node = instance.nodes[assignment.chosen[cluster_id]]
-            source = next(c for c in lists[list_index].candidates if c.uri == node.uri)
-            scored[list_index] = [(source, None)]
+            position = assignment.chosen[cluster_id] - instance.clusters[cluster_id][0]
+            scored[list_index] = [(lists[list_index].candidates[position], None)]
         diagnostics["route_cost"] = assignment.total_cost
         return [KeywordBlock.of(*block) for block in zip(lists, state.confidences, scored)]
 

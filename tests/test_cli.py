@@ -166,6 +166,17 @@ class TestLinkCommand:
         assert [l["question_id"] for l in lines] == ["stdin-0", "stdin-1", "stdin-2"]
         assert "___" not in [b["keyword"] for b in lines[1]["keywords"]]
 
+    def test_stdin_line_not_utf8_reported_and_stream_goes_on(self, cli_setup, capsys, monkeypatch):
+        import io
+
+        raw = b"Where was Tesla founded?\nWho is the \xff of Tesla?\nPretoria\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), "utf-8", "strict"))
+        assert main(["link", "--config", cli_setup["config"]]) == 2
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert [l["question_id"] for l in lines] == ["stdin-0", "stdin-1", "stdin-2"]
+        assert lines[1]["error"].startswith("stdin:2: 'utf-8' codec can't decode byte 0xff")
+        assert "keywords" in lines[0] and "keywords" in lines[2]
+
     def test_stdin_read_lazily(self, cli_setup, capsys, monkeypatch):
         from kglinker.pipeline import Pipeline
 

@@ -133,12 +133,13 @@ class TestBuildInstance:
         assert np.all(np.diag(inst.cost) == 0)
         # only cross-cluster pairs are queried; intra-cluster costs stay 0
         assert oracle.pairs == 3 * 2 + 3 * 2 + 2 * 2
+        ids = [oracle.graph.node_id(node.uri, node.kind) for node in inst.nodes]
         for u, nu in enumerate(inst.nodes):
             for v, nv in enumerate(inst.nodes):
                 if nu.cluster == nv.cluster:
                     assert inst.cost[u, v] == 0.0
                     continue
-                d = oracle.distance_by_id(nu.graph_node, nv.graph_node)
+                d = oracle.distance_by_id(ids[u], ids[v])
                 hops = float(d) if d != DISCONNECTED else inst.disconnect_penalty
                 assert inst.cost[u, v] == hops + 0.5 * (nu.rank + nv.rank)
 

@@ -12,10 +12,11 @@ from kglinker.kg import (
     Kind,
     Triple,
     build_subdivision,
+    cross_hops,
     hop_block,
     load_graph,
 )
-from kglinker.index import read_expansions, read_label_entries
+from kglinker.index import Candidate, CandidateList, read_expansions, read_label_entries
 from kglinker.reranker import read_feature_rows
 from kglinker.stopwords import load_stopwords
 
@@ -270,6 +271,88 @@ class TestHubRows:
         # x2's BFS stops at type and builds type's row to read the paths through it.
         assert hubbed.distance("x2", "x0") == 4 and hubbed.rows_built == 2
         assert hubbed.distance("type", "x1", Kind.RELATION) == 3 and hubbed.rows_built == 2
+
+
+class TestCrossHops:
+    """One question's matrix equals the loop of one ``hop_block`` per pair
+    of lists that it replaces, on plain and hub graphs and on oracles that
+    keep every row, the last 2 or only 1."""
+
+    @pytest.mark.parametrize("rows", [None, 2, 1])
+    @pytest.mark.parametrize(
+        "lines", [lambda rng: random_kg_lines(rng, 30, 24), hub_kg_lines], ids=["plain", "hubs"]
+    )
+    def test_equals_pair_loop(self, lines, rows, monkeypatch):
+        check_cross_hops_equals_pair_loop(monkeypatch, rows, lines)
+
+    def test_off_graph_candidate_raises(self):
+        oracle = HopOracle(build_subdivision(make_graph(["A\tp\tB"])))
+        lists = [candidate_list([("A", Kind.ENTITY)]), candidate_list([("ghost", Kind.ENTITY)])]
+        with pytest.raises(NodeNotFoundError, match="ghost"):
+            cross_hops(oracle, lists)
+
+    def test_no_lists(self):
+        hops, owner = cross_hops(HopOracle(build_subdivision(make_graph(["A\tp\tB"]))), [])
+        assert hops.shape == (0, 0) and owner.tolist() == []
+
+
+def candidate_list(nodes):
+    """A candidate list of (uri, kind) pairs, ranked in order."""
+    return CandidateList(
+        keyword="k",
+        kind_queried=Kind.ENTITY,
+        candidates=[Candidate(uri, uri, 1.0, rank, kind) for rank, (uri, kind) in enumerate(nodes, 1)],
+    )
+
+
+def check_cross_hops_equals_pair_loop(monkeypatch, rows, lines):
+    """Cross-list entries equal the per-pair reference and entries inside a
+    list are 0; the pairs counted and the rows built, in order, are those of
+    a loop of ``hop_block`` over the lists a < b. Questions repeat a uri in
+    two lists and hold empty and single-candidate lists."""
+    rng = random.Random(17)
+    graph = build_subdivision(make_graph(lines(rng)))
+    if rows is not None:
+        limit_rows(monkeypatch, graph, rows)
+    built = []
+    build = HopOracle._row
+
+    def recorded_build(self, source):
+        built.append((self, source))
+        return build(self, source)
+
+    monkeypatch.setattr(HopOracle, "_row", recorded_build)
+    oracle, loop, reference = (HopOracle(graph, cap=2) for _ in range(3))
+    nodes = list(zip(graph.names, graph.kinds))
+    values, repeated = set(), 0
+    for sizes in [(3, 4), (1, 1, 1), (4, 0, 3, 2), (5, 1, 4), (0, 2), (2, 3, 1, 3, 2)] * 3:
+        picks = [rng.sample(nodes, size) for size in sizes]
+        if sum(1 for pick in picks if pick) >= 2:
+            shared = rng.choice([c for pick in picks for c in pick])
+            later = [pick for pick in picks if pick and shared not in pick]
+            if later:
+                later[0][0] = shared
+                repeated += 1
+        lists = [candidate_list(pick) for pick in picks]
+        hops, owner = cross_hops(oracle, lists)
+        ids = [[graph.node_id(uri, kind) for uri, kind in pick] for pick in picks]
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                hop_block(loop, ids[a], ids[b])
+        assert hops.dtype == np.int64 and np.array_equal(hops, hops.T)
+        assert owner.tolist() == [i for i, pick in enumerate(picks) for _ in pick]
+        bounds = np.cumsum([0] + list(sizes))
+        for a in range(len(ids)):
+            for b in range(len(ids)):
+                block = hops[bounds[a] : bounds[a + 1], bounds[b] : bounds[b + 1]]
+                if a == b:
+                    assert not block.any()
+                else:
+                    assert block.tolist() == per_pair_hop_block(reference, ids[a], ids[b]).tolist()
+        values.update(hops[owner[:, None] != owner].flat)
+        assert oracle.pairs == loop.pairs and oracle.rows_built == loop.rows_built
+        assert [s for o, s in built if o is oracle] == [s for o, s in built if o is loop]
+    assert repeated and DISCONNECTED in values and len(values) > 2
 
 
 def check_hop_block_equals_per_pair_reference(
